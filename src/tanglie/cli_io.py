@@ -137,6 +137,7 @@ def _as_matrix(raw, path: str, dim: int) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValidationError(f"{path}: not a numeric matrix") from None
     _require(m.shape == (dim, dim), path, f"shape {m.shape}, expected ({dim}, {dim})")
+    _require(bool(np.all(np.isfinite(m))), path, "entries must be finite")
     return m
 
 
@@ -553,8 +554,9 @@ def _tangent(problem: ProblemFile) -> tl.TangentLieAlgebra:
 def _cmd_check(args, report: Report):
     problem = report.problem
     algebra = problem.algebra()
-    report.check("jacobi_defect", jacobi_defect(algebra), EPS_JACOBI)
-    payload = {"jacobi_defect": jacobi_defect(algebra), "metrics": {}}
+    defect = jacobi_defect(algebra)
+    report.check("jacobi_defect", defect, EPS_JACOBI)
+    payload = {"jacobi_defect": defect, "metrics": {}}
     for name, raw in problem.metrics.items():
         report.check(f"metrics.{name}.symmetry", float(np.max(np.abs(raw - raw.T))), EPS_SYM)
         metric = problem.metric(name)
@@ -590,26 +592,18 @@ def _cmd_connection(args, report: Report):
     else:
         t = _tangent(problem)
         mla = t.lifted_mla()
-        method = args.method or "koszul"
-        if method == "koszul":
-            conn = mg.levi_civita(mla)
-        elif method == "closed":
-            conn = tl.lifted_connection_closed_form(t)
-        else:
-            conn = tl.lifted_connection_structure_constants(t)
-        oracle = mg.levi_civita(mla)
-        closed = tl.lifted_connection_closed_form(t)
-        structconst = tl.lifted_connection_structure_constants(t)
-        report.check(
-            "closed_form_vs_koszul",
-            float(np.max(np.abs(closed.gamma - oracle.gamma))),
-            CHECK_TOL,
-        )
-        report.check(
-            "structure_constants_vs_koszul",
-            float(np.max(np.abs(structconst.gamma - oracle.gamma))),
-            CHECK_TOL,
-        )
+        routes = {
+            "koszul": mg.levi_civita(mla),
+            "closed": tl.lifted_connection_closed_form(t),
+            "structconst": tl.lifted_connection_structure_constants(t),
+        }
+        conn = routes[args.method or "koszul"]
+        for name, route in (
+            ("closed_form_vs_koszul", "closed"),
+            ("structure_constants_vs_koszul", "structconst"),
+        ):
+            gap = routes[route].gamma - routes["koszul"].gamma
+            report.check(name, float(np.max(np.abs(gap))), CHECK_TOL)
         convention = f"gamma[i,j,k] on the lift basis; {LIFT_INDEX_CONVENTION}"
     report.check("torsion_free", mg.torsion_defect(mla, conn), 1e-9)
     report.check("metric_compatible", mg.compatibility_defect(mla, conn), 1e-9)

@@ -118,6 +118,8 @@ class Metric:
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidDimension(f"metric must be square, got shape {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise NonPositiveDefinite("metric has non-finite entries")
         if np.max(np.abs(g - g.T)) > eps_sym:
             raise NonPositiveDefinite(
                 f"metric asymmetry {np.max(np.abs(g - g.T)):.3e} exceeds {eps_sym:.1e}"

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDimension, NonPositiveDefinite, ValidationError
 from .lie_core import (
@@ -89,10 +88,10 @@ def compute_phi(
 ) -> PhiData:
     """Solve g2 v = lambda g1 v and return a canonical eigenbasis.
 
-    The generalized symmetric eigenproblem is reduced by Cholesky
-    whitening of g1 (LAPACK drives this inside ``scipy.linalg.eigh``).
-    Eigenvalues come back ascending.  Within each (nearly) degenerate
-    eigenvalue cluster the eigenvectors are re-fixed deterministically:
+    Cholesky whitening of g1 = L L^T reduces this to the ordinary
+    eigenproblem of L^-1 g2 L^-T.  Eigenvalues come back ascending;
+    neighbours whose gap is at most ``cluster_tol`` times the larger one
+    form a cluster, whose eigenvectors are re-fixed deterministically:
     Gram-Schmidt with respect to g1 applied to the projections of the
     input basis vectors, taken in input order, discarding projections of
     g1-norm below ``drop_tol``.
@@ -100,16 +99,18 @@ def compute_phi(
     if g1.dim != g2.dim:
         raise InvalidDimension(f"metric dims {g1.dim} and {g2.dim} differ")
     n = g1.dim
-    lam, vecs = scipy.linalg.eigh(g2.g, g1.g)
+    chol = np.linalg.cholesky(g1.g)
+    white = np.linalg.solve(chol, np.linalg.solve(chol, g2.g).T)
+    lam, w = np.linalg.eigh(0.5 * (white + white.T))
+    vecs = np.linalg.solve(chol.T, w)
     if lam[0] <= 0:
         raise NonPositiveDefinite("metric pair produced a non-positive eigenvalue")
 
     b1 = np.empty((n, n))
-    lam_scale = max(1.0, float(lam[-1]))
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and lam[stop] - lam[stop - 1] <= cluster_tol * lam_scale:
+        while stop < n and lam[stop] - lam[stop - 1] <= cluster_tol * lam[stop]:
             stop += 1
         v = vecs[:, start:stop]
         proj = v @ (v.T @ g1.g)  # g1-orthogonal projector onto the eigenspace

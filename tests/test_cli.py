@@ -1,11 +1,15 @@
 """Command-line surface: loading, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tanglie
 from tanglie import (
     ExprError,
     ParseError,
@@ -307,6 +311,24 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["sectional", "heisenberg", "--plane", "X^w,Z^v"]) == 2
     capsys.readouterr()
+    # non-finite entries are input errors in metrics, forms and automorphisms
+    doc = _heisenberg_doc()
+    doc["metrics"]["g2"][1][1] = float("nan")
+    nan_metric = _write(tmp_path, "nan.json", doc)
+    assert run_command(["check", nan_metric, "--json"]) == 2
+    assert run_command(["curvature", nan_metric, "--metric", "lift"]) == 2
+    assert "metrics.g2" in capsys.readouterr().err
+    doc = _heisenberg_doc()
+    doc["automorphisms"] = {"d": np.diag([2.0, float("inf"), 6.0]).tolist()}
+    inf_auto = _write(tmp_path, "inf.json", doc)
+    assert run_command(["equiv", inf_auto, "--tau", "d"]) == 2
+    assert "automorphisms.d" in capsys.readouterr().err
+    doc = catalog_algebra("aff1").to_dict()
+    doc["symplectic"]["w1"][0][1] = float("inf")
+    doc["symplectic"]["w1"][1][0] = float("-inf")
+    inf_form = _write(tmp_path, "form.json", doc)
+    assert run_command(["symplectic", inf_form]) == 2
+    assert "symplectic.w1" in capsys.readouterr().err
     # degenerate plane is an input error
     assert run_command(["sectional", "heisenberg", "--plane", "X^c,X^c"]) == 2
     capsys.readouterr()
@@ -323,3 +345,25 @@ def test_exit_codes(tmp_path, capsys):
 def test_usage_error_is_exit_2(capsys):
     assert run_command(["connection", "heisenberg"]) == 2  # missing --metric
     capsys.readouterr()
+
+
+def _run_python(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tanglie.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_python("-m", "tanglie", "check", "heisenberg", "--json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_import_does_not_load_scipy():
+    proc = _run_python("-c", "import sys, tanglie; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -296,3 +296,13 @@ def test_metric_rejects_asymmetric_matrix():
     bad[0, 1] = 0.5
     with pytest.raises(NonPositiveDefinite):
         Metric(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_metric_rejects_non_finite_entry(bad):
+    from tanglie import NonPositiveDefinite
+
+    g = np.eye(3)
+    g[1, 1] = bad
+    with pytest.raises(NonPositiveDefinite):
+        Metric(g)

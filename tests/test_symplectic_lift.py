@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from tanglie import (
+    CLOSEDNESS_PATTERNS,
     LieAlgebra,
     Metric,
     NotSymplecticInput,
@@ -15,8 +16,10 @@ from tanglie import (
     cocycle_defect,
     is_symplectic,
     lift_symplectic,
+    random_spd_metric,
     verify_closedness_identities,
 )
+from conftest import CATALOG
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -45,6 +48,14 @@ def test_two_form_exact_antisymmetry():
 def test_two_form_rejects_symmetric_part():
     with pytest.raises(ValidationError):
         TwoForm(np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_two_form_rejects_non_finite_entry(bad):
+    w = J2.copy()
+    w[0, 1], w[1, 0] = bad, -bad
+    with pytest.raises(ValidationError):
+        TwoForm(w)
 
 
 def test_cocycle_two_dimensional_always_closed(rng):
@@ -173,3 +184,113 @@ def test_ccv_residual_equals_w2_cocycle_defect(rng):
     residuals = verify_closedness_identities(t, lifted)
     base_defect = cocycle_defect(t.base, TwoForm(t.phi_data.b1.T @ w2.w @ t.phi_data.b1))
     npt.assert_allclose(residuals["ccv"], base_defect, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The one-tensor closedness check against explicit lift matrices
+# ---------------------------------------------------------------------------
+
+
+def _closedness_by_pattern(t, wt):
+    """Reference: each pattern's cyclic sum over explicit raw lift matrices."""
+    n = t.dim
+    b = t.lifted.c
+    sl = t.phi_data.sqrt_lambdas
+    lifts = {
+        "v": np.hstack([np.diag(sl), np.zeros((n, n))]),  # rows: X_i^v
+        "c": np.hstack([np.zeros((n, n)), np.eye(n)]),  # rows: X_i^c
+    }
+    out = {}
+    for pattern in CLOSEDNESS_PATTERNS:
+        u1, u2, u3 = (lifts[ch] for ch in pattern)
+        br12 = np.einsum("ia,jb,abg->ijg", u1, u2, b)
+        br23 = np.einsum("ja,kb,abg->jkg", u2, u3, b)
+        br31 = np.einsum("ka,ib,abg->kig", u3, u1, b)
+        total = (
+            np.einsum("ijg,gh,kh->ijk", br12, wt.w, u3)
+            + np.einsum("jkg,gh,ih->ijk", br23, wt.w, u1)
+            + np.einsum("kig,gh,jh->ijk", br31, wt.w, u2)
+        )
+        out[pattern] = float(np.max(np.abs(total)))
+    return out
+
+
+def _assert_matches_reference(t, wt):
+    got = verify_closedness_identities(t, wt)
+    want = _closedness_by_pattern(t, wt)
+    assert tuple(got) == CLOSEDNESS_PATTERNS
+    tol = 1e-14 * np.max(np.abs(wt.w)) * np.max(np.abs(t.lifted.c))
+    for pattern in CLOSEDNESS_PATTERNS:
+        assert abs(got[pattern] - want[pattern]) <= tol, pattern
+    return got
+
+
+def _exact_form(c, theta):
+    """d(theta)(X_i, X_j) = -theta([X_i, X_j]); always closed."""
+    return -np.einsum("ijk,k->ij", c, theta)
+
+
+AFF1 = LieAlgebra.from_brackets(2, {(0, 1, 1): 1.0}).c
+H3R = LieAlgebra.from_brackets(4, {(0, 1, 2): 1.0}).c
+H3R_FORM = np.zeros((4, 4))  # e^X ^ e^Z + e^Y ^ e^T
+H3R_FORM[0, 2], H3R_FORM[2, 0], H3R_FORM[1, 3], H3R_FORM[3, 1] = 1.0, -1.0, 1.0, -1.0
+
+
+def _direct_sum(mats, rank):
+    n = sum(m.shape[0] for m in mats)
+    out = np.zeros((n,) * rank)
+    o = 0
+    for m in mats:
+        k = m.shape[0]
+        out[(slice(o, o + k),) * rank] = m
+        o += k
+    return out
+
+
+@pytest.mark.parametrize("name", ["aff1", "abelian2"])
+def test_closedness_matches_reference_catalog_forms(name):
+    problem = catalog_algebra(name)
+    t = _tangent(problem)
+    lifted = lift_symplectic(t, problem.two_form("w1"), problem.two_form("w2"))
+    _assert_matches_reference(t, lifted)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_closedness_matches_reference_catalog_random(name, rng):
+    # every two-form on these algebras is closed, so residuals sit at rounding
+    problem = catalog_algebra(name)
+    n = problem.dim
+    for _ in range(5):
+        t = build_tangent(
+            problem.algebra(), random_spd_metric(rng, n), random_spd_metric(rng, n)
+        )
+        m1, m2 = rng.standard_normal((2, n, n))
+        lifted = lift_symplectic(t, TwoForm(m1 - m1.T), TwoForm(m2 - m2.T), check=False)
+        _assert_matches_reference(t, lifted)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [("h3r",), ("aff1", "aff1"), ("aff1",) * 3, ("h3r", "aff1")],
+    ids=["h3+R", "2aff1", "3aff1", "h3+R+aff1"],
+)
+def test_closedness_matches_reference_seeded_symplectic_pairs(parts, rng):
+    blocks = {"aff1": (AFF1, J2), "h3r": (H3R, H3R_FORM)}
+    c = _direct_sum([blocks[p][0] for p in parts], 3)
+    w0 = _direct_sum([blocks[p][1] for p in parts], 2)
+    algebra = LieAlgebra.from_tensor(c)
+    n = algebra.dim
+    for _ in range(5):
+        w1, w2 = (
+            TwoForm(rng.uniform(1.0, 2.0) * w0 + _exact_form(c, rng.standard_normal(n)))
+            for _ in range(2)
+        )
+        assert is_symplectic(algebra, w1) and is_symplectic(algebra, w2)
+        t = build_tangent(algebra, random_spd_metric(rng, n), random_spd_metric(rng, n))
+        residuals = _assert_matches_reference(t, lift_symplectic(t, w1, w2))
+        assert max(residuals.values()) <= 1e-9
+        # arbitrary forms are not closed here; every pattern must still agree
+        m1, m2 = rng.standard_normal((2, n, n))
+        lifted = lift_symplectic(t, TwoForm(m1 - m1.T), TwoForm(m2 - m2.T), check=False)
+        residuals = _assert_matches_reference(t, lifted)
+        assert min(residuals[p] for p in ("ccc", "ccv", "cvc", "vcc")) > 1e-3

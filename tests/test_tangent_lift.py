@@ -134,6 +134,21 @@ def test_phi_partial_clusters(rng):
     npt.assert_allclose(closed.gamma, koszul.gamma, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "spread", [[1e8, 1.0, 1e-8], np.logspace(8, -8, 12)], ids=["n3", "n12"]
+)
+def test_phi_pairs_eigenvalues_spread_below_one(spread):
+    # clusters are judged on the gap relative to the eigenvalues, so
+    # distinct eigenvalues far below 1 keep their own eigenvectors
+    g2 = np.diag(spread)
+    n = g2.shape[0]
+    data = compute_phi(Metric(np.eye(n)), Metric(g2))
+    npt.assert_allclose(data.lambdas, np.sort(spread), rtol=1e-14)
+    residual = data.b1.T @ g2 @ data.b1 - np.diag(data.lambdas)
+    assert np.max(np.abs(residual) / data.lambdas[None, :]) <= 1e-12
+    npt.assert_allclose(data.b1.T @ data.b1, np.eye(n), atol=1e-12)
+
+
 def test_phi_dimension_mismatch():
     with pytest.raises(InvalidDimension):
         compute_phi(Metric(np.eye(2)), Metric(np.eye(3)))
