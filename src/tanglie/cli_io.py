@@ -141,9 +141,7 @@ def _as_matrix(raw, path: str, dim: int) -> np.ndarray:
     return m
 
 
-def problem_from_dict(
-    doc: dict, fallback_name: str = "problem", eps_jacobi: float = EPS_JACOBI
-) -> ProblemFile:
+def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
     """Validate a parsed JSON document and construct the problem."""
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
     schema = doc.get("schema", SCHEMA)
@@ -166,6 +164,7 @@ def problem_from_dict(
             v = float(item["value"])
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"{path}: needs integer i, j, k and value") from None
+        _require(bool(np.isfinite(v)), path, "value must be finite")
         _require(0 <= i < dim and 0 <= j < dim and 0 <= k < dim, path, "index out of range")
         _require(
             i < j,
@@ -209,14 +208,14 @@ def problem_from_dict(
     )
     defect = jacobi_defect(problem.algebra())
     _require(
-        defect <= eps_jacobi,
+        defect <= EPS_JACOBI,
         "brackets",
-        f"Jacobi identity violated: defect {defect:.3e} exceeds {eps_jacobi:.1e}",
+        f"Jacobi identity violated: defect {defect:.3e} exceeds {EPS_JACOBI:.1e}",
     )
     return problem
 
 
-def load_problem(path: str, eps_jacobi: float = EPS_JACOBI) -> ProblemFile:
+def load_problem(path: str) -> ProblemFile:
     """Read and validate a problem file."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -225,7 +224,7 @@ def load_problem(path: str, eps_jacobi: float = EPS_JACOBI) -> ProblemFile:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return problem_from_dict(doc, fallback_name=path, eps_jacobi=eps_jacobi)
+    return problem_from_dict(doc, fallback_name=path)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +382,8 @@ def _scan_terms(s: str, labels: tuple[str, ...], lifted: bool):
         m = _NUMBER.match(s, pos)
         if m:
             coef = float(m.group())
+            if not np.isfinite(coef):
+                raise ExprError(f"coefficient {m.group()} is not finite", m.start())
             pos = m.end()
             while pos < n and s[pos].isspace():
                 pos += 1
@@ -753,12 +754,10 @@ def _cmd_equiv(args, report: Report):
     if args.tau2:
         tau2 = problem.automorphism(args.tau2)
         big = tl.lift_automorphism(tau, tau2)
-        t = _tangent(problem)
-        g_lift = tl.unnormalized_lifted_metric(t)
-        n = problem.dim
-        expected = np.zeros_like(g_lift)
-        expected[:n, :n] = tau2.T @ problem.metric("g2").g @ tau2
-        expected[n:, n:] = tau.T @ problem.metric("g1").g @ tau
+        g1, g2 = problem.metric("g1").g, problem.metric("g2").g
+        # the raw-basis lifted metric blockdiag(g2, g1) is laid out like the maps
+        g_lift = tl.lift_automorphism(g1, g2)
+        expected = tl.lift_automorphism(tau.T @ g1 @ tau, tau2.T @ g2 @ tau2)
         report.check(
             "lifted_pullback_identity",
             float(np.max(np.abs(big.T @ g_lift @ big - expected))),
@@ -803,6 +802,16 @@ def _cmd_symplectic(args, report: Report):
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tanglie",
@@ -815,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
     common.add_argument(
-        "--tol", type=float, default=None, help="override every check tolerance"
+        "--tol", type=_tolerance, help="override every check tolerance (finite, >= 0)"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

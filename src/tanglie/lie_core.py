@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDimension, NonPositiveDefinite, SingularMap
 
-# Default tolerances. All checks accept an explicit override.
+# Default tolerances; the boolean checks accept an explicit override.
 EPS_JACOBI = 1e-9
 EPS_SYM = 1e-9
 EPS_PD = 1e-12
@@ -107,32 +107,32 @@ class LieAlgebra:
 class Metric:
     """Inner product on a Lie algebra, stored as its Gram matrix.
 
-    Construction validates symmetry (within ``eps_sym``) and positive
-    definiteness (every Cholesky pivot above ``eps_pd``), then stores the
+    Construction validates symmetry (within ``EPS_SYM``) and positive
+    definiteness (every Cholesky pivot above ``EPS_PD``), then stores the
     exactly symmetrized matrix.
     """
 
     g: np.ndarray = field(repr=False)
 
-    def __init__(self, g, eps_sym: float = EPS_SYM, eps_pd: float = EPS_PD):
+    def __init__(self, g):
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidDimension(f"metric must be square, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise NonPositiveDefinite("metric has non-finite entries")
-        if np.max(np.abs(g - g.T)) > eps_sym:
+        if np.max(np.abs(g - g.T)) > EPS_SYM:
             raise NonPositiveDefinite(
-                f"metric asymmetry {np.max(np.abs(g - g.T)):.3e} exceeds {eps_sym:.1e}"
+                f"metric asymmetry {np.max(np.abs(g - g.T)):.3e} exceeds {EPS_SYM:.1e}"
             )
         g = 0.5 * (g + g.T)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise NonPositiveDefinite("metric is not positive-definite") from None
-        if np.min(np.diag(chol)) ** 2 <= eps_pd:
+        if np.min(np.diag(chol)) ** 2 <= EPS_PD:
             raise NonPositiveDefinite(
                 f"smallest Cholesky pivot {np.min(np.diag(chol)) ** 2:.3e} "
-                f"not above {eps_pd:.1e}"
+                f"not above {EPS_PD:.1e}"
             )
         object.__setattr__(self, "g", _freeze(g))
 

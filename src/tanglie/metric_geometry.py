@@ -136,21 +136,30 @@ def curvature_invariant_defects(
     }
 
 
-def sectional(
-    mla: MetricLieAlgebra, riem: CurvatureTensor, x, y, eps_pd: float = EPS_PD
-) -> float:
-    """Sectional curvature of the plane spanned by x and y.
+def sectional_quotient(metric: Metric, x, y, rxyy) -> float:
+    """g(R(x, y)y, x) over the Gram determinant of (x, y), given R(x, y)y.
 
-    Raises DegeneratePlane when the Gram determinant of (x, y) is not
-    safely positive; a silent zero would mask user mistakes.
+    Raises DegeneratePlane when the Gram determinant is not safely
+    positive, and PreconditionViolated when it or g(R(x, y)y, x) is not
+    finite; a silent zero or NaN would mask user mistakes.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        gram = metric.inner(x, x) * metric.inner(y, y) - metric.inner(x, y) ** 2
+        num = metric.inner(rxyy, x)
+    if not (np.isfinite(gram) and np.isfinite(num)):
+        raise PreconditionViolated(
+            f"plane out of floating-point range: Gram determinant {gram:.3e}"
+        )
+    if gram <= EPS_PD:
+        raise DegeneratePlane(f"Gram determinant {gram:.3e} not above {EPS_PD:.1e}")
+    return num / gram
+
+
+def sectional(mla: MetricLieAlgebra, riem: CurvatureTensor, x, y) -> float:
+    """Sectional curvature of the plane spanned by x and y."""
     x = mla.algebra.vector(x)
     y = mla.algebra.vector(y)
-    g = mla.metric
-    gram = g.inner(x, x) * g.inner(y, y) - g.inner(x, y) ** 2
-    if gram <= eps_pd:
-        raise DegeneratePlane(f"Gram determinant {gram:.3e} not above {eps_pd:.1e}")
-    return g.inner(riem.apply(x, y, y), x) / gram
+    return sectional_quotient(mla.metric, x, y, riem.apply(x, y, y))
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +180,26 @@ def is_bi_invariant(mla: MetricLieAlgebra, tol: float = CHECK_TOL) -> bool:
     return bi_invariance_defect(mla) <= tol
 
 
+def _lowered_double_bracket(mla: MetricLieAlgebra) -> np.ndarray:
+    """t[i, j, k, l] = g([X_k, [X_i, X_j]], X_l)."""
+    c = mla.algebra.c
+    dbl = np.einsum("ijm,kmp->ijkp", c, c)  # [X_k, [X_i, X_j]]
+    return np.einsum("ijkp,pl->ijkl", dbl, mla.metric.g)
+
+
 def canonical_metricity_defect(mla: MetricLieAlgebra) -> float:
     """Residual of g([Z, [X, Y]], W) + g(Z, [W, [X, Y]]) = 0 over basis quadruples.
 
     Vanishing is exactly the condition for the canonical connection
     (half the bracket) to be metric for g.
     """
-    c, g = mla.algebra.c, mla.metric.g
-    dbl = np.einsum("ijm,kmp->ijkp", c, c)  # [X_k, [X_i, X_j]]
-    t1 = np.einsum("ijkp,pl->ijkl", dbl, g)
-    t2 = np.einsum("kp,ijlp->ijkl", g, dbl)
-    return float(np.max(np.abs(t1 + t2)))
+    t = _lowered_double_bracket(mla)
+    return float(np.max(np.abs(t + t.transpose(0, 1, 3, 2))))
 
 
 def double_bracket_defect(mla: MetricLieAlgebra) -> float:
     """Max over basis quadruples of |g([X_k, [X_i, X_j]], X_l)|."""
-    c, g = mla.algebra.c, mla.metric.g
-    dbl = np.einsum("ijm,kmp->ijkp", c, c)
-    return float(np.max(np.abs(np.einsum("ijkp,pl->ijkl", dbl, g))))
+    return float(np.max(np.abs(_lowered_double_bracket(mla))))
 
 
 def satisfies_double_bracket_condition(mla: MetricLieAlgebra, tol: float = CHECK_TOL) -> bool:
@@ -292,10 +303,7 @@ class EquivarianceDefects:
 
 
 def equivariance_defect(
-    mla: MetricLieAlgebra,
-    mla_pulled: MetricLieAlgebra,
-    tau,
-    tol: float = CHECK_TOL,
+    mla: MetricLieAlgebra, mla_pulled: MetricLieAlgebra, tau
 ) -> EquivarianceDefects:
     """Residuals of naturality of connection, curvature, and sectional curvature.
 
@@ -307,9 +315,9 @@ def equivariance_defect(
     algebra = mla.algebra
     expected = pullback_metric(mla.metric, tau).g
     scale = max(1.0, float(np.max(np.abs(expected))))
-    if float(np.max(np.abs(mla_pulled.metric.g - expected))) > tol * scale:
+    if float(np.max(np.abs(mla_pulled.metric.g - expected))) > CHECK_TOL * scale:
         raise PreconditionViolated("second metric is not the pullback of the first")
-    if not is_automorphism(algebra, tau, tol):
+    if not is_automorphism(algebra, tau):
         raise PreconditionViolated("map is not an automorphism of the algebra")
 
     conn = levi_civita(mla)

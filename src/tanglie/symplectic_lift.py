@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, NotSymplecticInput, ValidationError
-from .lie_core import LieAlgebra
+from .lie_core import EPS_SYM, LieAlgebra
 from .tangent_lift import TangentLieAlgebra
 
 
@@ -29,16 +29,16 @@ class TwoForm:
 
     w: np.ndarray = field(repr=False)
 
-    def __init__(self, w, tol: float = 1e-9):
+    def __init__(self, w):
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidDimension(f"two-form must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValidationError("two-form has non-finite entries")
         skew_defect = float(np.max(np.abs(w + w.T)))
-        if skew_defect > tol:
+        if skew_defect > EPS_SYM:
             raise ValidationError(
-                f"two-form asymmetry {skew_defect:.3e} exceeds {tol:.1e}"
+                f"two-form asymmetry {skew_defect:.3e} exceeds {EPS_SYM:.1e}"
             )
         w = 0.5 * (w - w.T)
         w.setflags(write=False)

@@ -20,7 +20,14 @@ lambda-weighted copies of the base structure constants:
                                     X_k^v/sqrt(lambda_k),
     [complete, complete]          = complete copy of the base bracket.
 
-Every closed form in this module is checked in the tests against the
+Production path: :func:`build_tangent`, then the closed-form connection
+:func:`lifted_connection_closed_form`, from which :func:`lifted_curvature`
+and :func:`lifted_sectional` work.  The lambda-weighted Christoffel sums
+of the paper are derived once, in :func:`lifted_connection_structure_constants`;
+the paper's formulas built on them (:func:`structure_constant_curvature_blocks`,
+:func:`curvature_block_deviations`, :func:`lifted_sectional_closed_forms`)
+and :func:`vertical_vertical_coefficients` are kept for checking and for
+``--compare``.  Every closed form is checked in the tests against the
 generic Koszul/curvature oracle from :mod:`tanglie.metric_geometry`
 applied to the lifted metric Lie algebra.
 """
@@ -33,11 +40,11 @@ import numpy as np
 
 from .errors import InvalidDimension, NonPositiveDefinite, ValidationError
 from .lie_core import (
-    CHECK_TOL,
     EPS_JACOBI,
     LieAlgebra,
     Metric,
     ad_star,
+    bracket,
     change_basis_constants,
     jacobi_defect,
 )
@@ -50,6 +57,7 @@ from .metric_geometry import (
     levi_civita,
     satisfies_double_bracket_condition,
     sectional,
+    sectional_quotient,
 )
 
 
@@ -80,21 +88,20 @@ class PhiData:
         return np.sqrt(self.lambdas)
 
 
-def compute_phi(
-    g1: Metric,
-    g2: Metric,
-    cluster_tol: float = 1e-8,
-    drop_tol: float = 1e-10,
-) -> PhiData:
+CLUSTER_TOL = 1e-8  # relative eigenvalue gap within one eigenspace
+DROP_TOL = 1e-10  # g1-norm of a projection that adds nothing to an eigenspace
+
+
+def compute_phi(g1: Metric, g2: Metric) -> PhiData:
     """Solve g2 v = lambda g1 v and return a canonical eigenbasis.
 
     Cholesky whitening of g1 = L L^T reduces this to the ordinary
     eigenproblem of L^-1 g2 L^-T.  Eigenvalues come back ascending;
-    neighbours whose gap is at most ``cluster_tol`` times the larger one
+    neighbours whose gap is at most ``CLUSTER_TOL`` times the larger one
     form a cluster, whose eigenvectors are re-fixed deterministically:
     Gram-Schmidt with respect to g1 applied to the projections of the
     input basis vectors, taken in input order, discarding projections of
-    g1-norm below ``drop_tol``.
+    g1-norm below ``DROP_TOL``.
     """
     if g1.dim != g2.dim:
         raise InvalidDimension(f"metric dims {g1.dim} and {g2.dim} differ")
@@ -110,7 +117,7 @@ def compute_phi(
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and lam[stop] - lam[stop - 1] <= cluster_tol * lam[stop]:
+        while stop < n and lam[stop] - lam[stop - 1] <= CLUSTER_TOL * lam[stop]:
             stop += 1
         v = vecs[:, start:stop]
         proj = v @ (v.T @ g1.g)  # g1-orthogonal projector onto the eigenspace
@@ -120,7 +127,7 @@ def compute_phi(
             for q in cols:
                 p -= (q @ g1.g @ p) * q
             norm = float(np.sqrt(max(p @ g1.g @ p, 0.0)))
-            if norm < drop_tol:
+            if norm < DROP_TOL:
                 continue
             cols.append(p / norm)
             if len(cols) == stop - start:
@@ -134,17 +141,15 @@ def compute_phi(
     return PhiData(phi=phi, lambdas=lam.copy(), b1=b1)
 
 
-def _eigenbasis_labels(
-    b1: np.ndarray, labels: tuple[str, ...], tol: float = 1e-9
-) -> tuple[str, ...]:
-    """Reuse input labels when the eigenbasis is a plain permutation."""
+def _eigenbasis_labels(b1: np.ndarray, labels: tuple[str, ...]) -> tuple[str, ...]:
+    """Reuse input labels when the eigenbasis is a plain permutation, within 1e-9."""
     n = b1.shape[0]
     out = []
     for col in b1.T:
         idx = int(np.argmax(np.abs(col)))
         unit = np.zeros(n)
         unit[idx] = 1.0
-        if np.max(np.abs(col - unit)) > tol:
+        if np.max(np.abs(col - unit)) > 1e-9:
             break
         out.append(labels[idx])
     if len(out) == n and len(set(out)) == n:
@@ -194,6 +199,10 @@ class TangentLieAlgebra:
         return MetricLieAlgebra(self.base, self.base_g2)
 
 
+def _lift_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f"{l}^v" for l in labels) + tuple(f"{l}^c" for l in labels)
+
+
 def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlgebra:
     """Assemble the tangent algebra of (algebra, g1, g2)."""
     if algebra.dim != g1.dim or algebra.dim != g2.dim:
@@ -215,10 +224,7 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     b[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, c)  # [X_i^v~, X_j^c]
     b[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, c)  # [X_i^c, X_j^v~]
     b[n:, n:, n:] = c  # complete copy of the base bracket
-    labels = tuple(f"{l}^v" for l in base.basis_labels) + tuple(
-        f"{l}^c" for l in base.basis_labels
-    )
-    lifted = LieAlgebra.from_tensor(b, labels)
+    lifted = LieAlgebra.from_tensor(b, _lift_labels(base.basis_labels))
     defect = jacobi_defect(lifted)
     if defect > EPS_JACOBI:
         raise ValidationError(f"lifted bracket violates Jacobi: defect {defect:.3e}")
@@ -240,13 +246,9 @@ def unnormalized_lifted_metric(t: TangentLieAlgebra) -> np.ndarray:
     """Block matrix of the lifted metric in the raw input-basis lifts.
 
     Basis order {X_1^v, ..., X_n^v, X_1^c, ..., X_n^c} over the input
-    basis, giving blockdiag(g2, g1) exactly.
+    basis, giving blockdiag(g2, g1) exactly, laid out by :func:`lift_automorphism`.
     """
-    n = t.dim
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = t.input_g2.g
-    out[n:, n:] = t.input_g1.g
-    return out
+    return lift_automorphism(t.input_g1.g, t.input_g2.g)
 
 
 def tangent_algebra_unnormalized(algebra: LieAlgebra) -> LieAlgebra:
@@ -257,10 +259,7 @@ def tangent_algebra_unnormalized(algebra: LieAlgebra) -> LieAlgebra:
     b[:n, n:, :n] = c
     b[n:, :n, :n] = c
     b[n:, n:, n:] = c
-    labels = tuple(f"{l}^v" for l in algebra.basis_labels) + tuple(
-        f"{l}^c" for l in algebra.basis_labels
-    )
-    return LieAlgebra.from_tensor(b, labels)
+    return LieAlgebra.from_tensor(b, _lift_labels(algebra.basis_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +301,7 @@ def lift_components(t: TangentLieAlgebra, u) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def lifted_connection_closed_form(
-    t: TangentLieAlgebra,
-    conn1: Connection | None = None,
-    conn2: Connection | None = None,
-) -> Connection:
+def lifted_connection_closed_form(t: TangentLieAlgebra) -> Connection:
     """Christoffel tensor of the lifted metric from the four block formulas.
 
         nabla_{X^c} Y^c = (nabla1_X Y)^c
@@ -314,15 +309,13 @@ def lifted_connection_closed_form(
         nabla_{X^v} Y^c = (nabla2_X Y + 1/2 adstar2(X) Y)^v
         nabla_{X^v} Y^v = (phi(nabla2_X Y - 1/2 [X, Y]))^c
 
-    with adstar2 the g2-adjoint of ad.  Inputs and output are expressed in
-    the eigenbasis / normalized lift basis; conn1 and conn2 are the base
-    Levi-Civita connections for g1 and g2 (computed here when omitted).
+    with adstar2 the g2-adjoint of ad and nabla1, nabla2 the base
+    Levi-Civita connections of g1 and g2.  Inputs and output are expressed
+    in the eigenbasis / normalized lift basis.
     """
     n = t.dim
-    if conn1 is None:
-        conn1 = levi_civita(t.base_mla1())
-    if conn2 is None:
-        conn2 = levi_civita(t.base_mla2())
+    conn1 = levi_civita(t.base_mla1())
+    conn2 = levi_civita(t.base_mla2())
     sl = t.phi_data.sqrt_lambdas
     isl = 1.0 / sl
     c = t.base.c
@@ -377,19 +370,16 @@ def lifted_connection_structure_constants(t: TangentLieAlgebra) -> Connection:
     return Connection(gamma)
 
 
-def vertical_vertical_coefficients(
-    t: TangentLieAlgebra, x, y, conn2: Connection | None = None
-) -> np.ndarray:
+def vertical_vertical_coefficients(t: TangentLieAlgebra, x, y) -> np.ndarray:
     """Complete-block coefficients of nabla_{x^v} y^v for eigenbasis vectors.
 
     x and y are coefficient vectors in the eigenbasis; the result is
     sum_ij x_i y_j lambda_k (Gamma2_ijk - c_ijk / 2) on the complete
-    basis fields.
+    basis fields, with Gamma2 the base Levi-Civita connection of g2.
     """
     x = t.base.vector(x)
     y = t.base.vector(y)
-    if conn2 is None:
-        conn2 = levi_civita(t.base_mla2())
+    conn2 = levi_civita(t.base_mla2())
     return np.einsum(
         "i,j,ijk,k->k", x, y, conn2.gamma - 0.5 * t.base.c, t.phi_data.lambdas
     )
@@ -401,13 +391,7 @@ def vertical_vertical_coefficients(
 
 
 def lifted_curvature(t: TangentLieAlgebra) -> CurvatureTensor:
-    """Curvature of the lifted metric.
-
-    Production path: the curvature definition applied to the closed-form
-    lifted connection.  The expanded structure-constant block formulas are
-    kept as a diagnostic (:func:`curvature_block_deviations`); two of them
-    are known not to reduce to this tensor and are never asserted.
-    """
+    """Curvature of the lifted metric, from the closed-form lifted connection."""
     return curvature(t.lifted_mla(), lifted_connection_closed_form(t))
 
 
@@ -425,21 +409,17 @@ def structure_constant_curvature_blocks(
     tables; they exist for deviation reporting, never as a source of
     truth.
     """
+    n = t.dim
     c = t.base.c
     sl = t.phi_data.sqrt_lambdas
     isl = 1.0 / sl
 
     # 2x the Christoffel patterns of the four connection block sums
-    p = c - np.einsum("jli->ijl", c) + np.einsum("lij->ijl", c)  # cc -> c
-    a = np.einsum("l,b,abl->abl", sl, isl, c) + np.einsum(
-        "b,l,lab->abl", sl, isl, c
-    )  # cv -> v
-    v = np.einsum("l,a,abl->abl", sl, isl, c) - np.einsum(
-        "a,l,bla->abl", sl, isl, c
-    )  # vc -> v
-    w = np.einsum("l,a,hal->alh", sl, isl, c) - np.einsum(
-        "a,l,lha->alh", sl, isl, c
-    )  # vv -> c
+    gamma2 = 2.0 * lifted_connection_structure_constants(t).gamma
+    p = gamma2[n:, n:, n:]  # cc -> c
+    a = gamma2[n:, :n, :n]  # cv -> v
+    v = gamma2[:n, n:, :n]  # vc -> v
+    w = gamma2[:n, :n, n:]  # vv -> c
 
     blocks = {}
     blocks["ccc"] = 0.25 * (
@@ -452,7 +432,7 @@ def structure_constant_curvature_blocks(
         - np.einsum("ikl,jlh->ijkh", a, a)
         - 2.0 * np.einsum("ijl,lkh->ijkh", c, a)
     )
-    brv = np.einsum("l,i,ijl->ijl", sl, isl, c)  # [Vi, Cj] coefficients
+    brv = t.lifted.c[:n, n:, :n]  # [Vi, Cj] coefficients
     blocks["vcc"] = 0.25 * (
         np.einsum("jkl,ilh->ijkh", p, v)
         - np.einsum("ikl,jlh->ijkh", v, a)
@@ -482,17 +462,6 @@ def structure_constant_curvature_blocks(
     return blocks
 
 
-#: slices (arg1, arg2, arg3, output) of the full lifted tensor per block key
-_BLOCK_OUTPUT = {
-    "ccc": "c",
-    "ccv": "v",
-    "vcc": "v",
-    "vvc": "c",
-    "vcv": "c",
-    "vvv": "v",
-}
-
-
 def curvature_block_deviations(
     t: TangentLieAlgebra, riem: CurvatureTensor | None = None
 ) -> dict[str, float]:
@@ -512,7 +481,9 @@ def curvature_block_deviations(
         s1, s2, s3 = (sl_of[ch] for ch in key)
         oracle = riem.r[s1, s2, s3, :]
         predicted = np.zeros_like(oracle)
-        predicted[..., sl_of[_BLOCK_OUTPUT[key]]] = formula
+        # vertical lifts are odd and complete lifts even in the grading R
+        # preserves, so an odd number of vertical arguments lands vertical
+        predicted[..., sl_of["v" if key.count("v") % 2 else "c"]] = formula
         out[key] = float(np.max(np.abs(oracle - predicted)))
     return out
 
@@ -525,10 +496,22 @@ def curvature_block_deviations(
 def lifted_sectional(
     t: TangentLieAlgebra, u, v, riem: CurvatureTensor | None = None
 ) -> float:
-    """Sectional curvature of the plane spanned by two lifted vectors."""
-    if riem is None:
-        riem = lifted_curvature(t)
-    return sectional(t.lifted_mla(), riem, u, v)
+    """Sectional curvature of the plane spanned by two lifted vectors.
+
+    Without ``riem`` only R(u, v)v is formed, from the closed-form
+    connection: nabla_u nabla_v v - nabla_v nabla_u v - nabla_[u,v] v.
+    """
+    if riem is not None:
+        return sectional(t.lifted_mla(), riem, u, v)
+    u = t.lifted.vector(u)
+    v = t.lifted.vector(v)
+    nabla = lifted_connection_closed_form(t).apply
+    ruvv = (
+        nabla(u, nabla(v, v))
+        - nabla(v, nabla(u, v))
+        - nabla(bracket(t.lifted, u, v), v)
+    )
+    return sectional_quotient(t.lifted_metric, u, v, ruvv)
 
 
 def lifted_sectional_closed_forms(t: TangentLieAlgebra) -> dict[str, np.ndarray]:
@@ -539,13 +522,13 @@ def lifted_sectional_closed_forms(t: TangentLieAlgebra) -> dict[str, np.ndarray]
     "vv" K(Vi, Vj), and "vc" K(Vi, X_j^c).  Diagonal entries are
     meaningless (degenerate planes) and set to zero.
     """
+    n = t.dim
     c = t.base.c
     lam = t.phi_data.lambdas
-    sl = t.phi_data.sqrt_lambdas
-    isl = 1.0 / sl
+    gamma2 = 2.0 * lifted_connection_structure_constants(t).gamma
 
     cross = np.einsum("ljj,lii->ij", c, c)
-    p1 = c - np.einsum("jli->ijl", c) + np.einsum("lij->ijl", c)
+    p1 = gamma2[n:, n:, n:]
     q1 = np.einsum("jli->ijl", c) - np.einsum("lij->ijl", c) + c
     r1 = (
         np.einsum("lji->ijl", c)
@@ -558,9 +541,7 @@ def lifted_sectional_closed_forms(t: TangentLieAlgebra) -> dict[str, np.ndarray]
         - 2.0 * np.einsum("ijl,ijl->ij", c, r1)
     )
 
-    mixed = np.einsum("j,i,lij->ijl", sl, isl, c) + np.einsum(
-        "i,j,lji->ijl", sl, isl, c
-    )
+    mixed = gamma2[:n, :n, n:]
     vv = 0.25 * (np.einsum("ijl,ijl->ij", mixed, mixed) - 4.0 * cross)
 
     ratio = lam[:, None] / lam[None, :]  # ratio[a, b] = lambda_a / lambda_b
@@ -588,18 +569,17 @@ class LiftBiInvariance:
     g2_eq24: bool
 
 
-def bi_invariance_of_lift(
-    t: TangentLieAlgebra, tol: float = CHECK_TOL
-) -> LiftBiInvariance:
+def bi_invariance_of_lift(t: TangentLieAlgebra) -> LiftBiInvariance:
     """Ad-invariance of the lifted metric and the two base sufficient conditions.
 
-    The sufficiency direction (g1 ad-invariant and g2 with vanishing
-    double brackets implies the lift is ad-invariant) is asserted here;
-    a violation would mean an internal inconsistency.
+    Each is judged at ``CHECK_TOL``.  The sufficiency direction (g1
+    ad-invariant and g2 with vanishing double brackets implies the lift is
+    ad-invariant) is asserted here; a violation would mean an internal
+    inconsistency.
     """
-    lift_ok = is_bi_invariant(t.lifted_mla(), tol)
-    g1_ok = is_bi_invariant(t.base_mla1(), tol)
-    g2_ok = satisfies_double_bracket_condition(t.base_mla2(), tol)
+    lift_ok = is_bi_invariant(t.lifted_mla())
+    g1_ok = is_bi_invariant(t.base_mla1())
+    g2_ok = satisfies_double_bracket_condition(t.base_mla2())
     if g1_ok and g2_ok and not lift_ok:
         raise ValidationError(
             "sufficient conditions hold but the lifted metric fails ad-invariance"

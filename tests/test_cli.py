@@ -143,6 +143,7 @@ def test_parse_mixed_expression():
         ("2 Y^v", 2),
         ("X^c +", 5),
         ("", 0),
+        ("X^c + 1e999*Y^v", 6),
     ],
 )
 def test_parse_errors_carry_columns(expr, column):
@@ -329,9 +330,32 @@ def test_exit_codes(tmp_path, capsys):
     inf_form = _write(tmp_path, "form.json", doc)
     assert run_command(["symplectic", inf_form]) == 2
     assert "symplectic.w1" in capsys.readouterr().err
+    # a non-finite bracket value is named by its entry
+    doc = _heisenberg_doc()
+    for value in (float("nan"), float("inf")):
+        doc["brackets"][0]["value"] = value
+        assert run_command(["check", _write(tmp_path, "br.json", doc), "--json"]) == 2
+        assert "brackets[0]: value must be finite" in capsys.readouterr().err
     # degenerate plane is an input error
     assert run_command(["sectional", "heisenberg", "--plane", "X^c,X^c"]) == 2
     capsys.readouterr()
+    # so are a coefficient that overflows and a plane whose Gram
+    # determinant overflows
+    for argv, message in (
+        (["sectional", "heisenberg", "--plane", "1e999*Y^v,Z^v"], "coefficient 1e999"),
+        (["field", "heisenberg", "--vector", "1e999*Z"], "coefficient 1e999"),
+        (["sectional", "heisenberg", "--plane", "1e200*Y^v,Z^v"], "Gram determinant"),
+    ):
+        assert run_command(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    # a tolerance must be finite and non-negative
+    for tol in ("nan", "inf", "-inf", "-1e-9"):
+        assert run_command(["check", "heisenberg", f"--tol={tol}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--tol: tolerance must be finite and >= 0, got '{tol}'" in captured.err
     # an absurd tolerance turns rounding noise into check failures
     assert (
         run_command(

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from tanglie import (
+    DegeneratePlane,
     InvalidDimension,
     LieAlgebra,
     Metric,
@@ -32,6 +33,7 @@ from tanglie import (
     lifted_sectional_closed_forms,
     random_spd_metric,
     sectional,
+    structure_constant_curvature_blocks,
     tangent_algebra_unnormalized,
     unnormalized_lifted_metric,
     vertical_lift,
@@ -48,12 +50,45 @@ def _tangent(name):
 
 
 def _random_tangent(name, rng):
-    algebra = catalog_algebra(name).algebra()
+    return _random_pair_tangent(catalog_algebra(name).algebra(), rng)
+
+
+def _random_pair_tangent(algebra, rng):
     return build_tangent(
         algebra,
         random_spd_metric(rng, algebra.dim),
         random_spd_metric(rng, algebra.dim),
     )
+
+
+def _direct_sum(*names):
+    """Direct sum of catalog algebras, for bases of dimension 4 and 6."""
+    algebras = [catalog_algebra(name).algebra() for name in names]
+    n = sum(a.dim for a in algebras)
+    c = np.zeros((n, n, n))
+    start = 0
+    for a in algebras:
+        block = slice(start, start + a.dim)
+        c[block, block, block] = a.c
+        start += a.dim
+    return LieAlgebra.from_tensor(c)
+
+
+#: seeded metric pairs on these sums cover n = 4 and n = 6
+SUMS = (
+    ("aff1", "aff1"),
+    ("aff1", "abelian2"),
+    ("heisenberg", "solvable_rr2"),
+    ("su2", "heisenberg"),
+)
+
+
+def _seeded_tangents(rng):
+    """Catalog pairs, 3 seeded pairs per catalog algebra and 2 per sum."""
+    out = [_tangent(name) for name in CATALOG]
+    out += [_random_tangent(name, rng) for name in CATALOG for _ in range(3)]
+    out += [_random_pair_tangent(_direct_sum(*names), rng) for names in SUMS for _ in range(2)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +493,119 @@ def test_higher_dimensional_lift_pipeline(rng):
         assert dev["ccc"] <= 1e-8 and dev["vvv"] <= 1e-8
 
 
+def _reference_patterns(t):
+    """Christoffel patterns as inline lambda-weighted sums, C-contiguous.
+
+    einsum sums in an order that follows the memory layout of its
+    operands, so the references reduce from C-contiguous patterns, the
+    layout of the sliced connection tensor.
+    """
+    c = t.base.c
+    sl = t.phi_data.sqrt_lambdas
+    isl = 1.0 / sl
+    patterns = {
+        "p": c - np.einsum("jli->ijl", c) + np.einsum("lij->ijl", c),
+        "a": np.einsum("l,b,abl->abl", sl, isl, c) + np.einsum("b,l,lab->abl", sl, isl, c),
+        "v": np.einsum("l,a,abl->abl", sl, isl, c) - np.einsum("a,l,bla->abl", sl, isl, c),
+        "w": np.einsum("l,a,hal->alh", sl, isl, c) - np.einsum("a,l,lha->alh", sl, isl, c),
+        "brv": np.einsum("l,i,ijl->ijl", sl, isl, c),
+        "p1": c - np.einsum("jli->ijl", c) + np.einsum("lij->ijl", c),
+        "mixed": np.einsum("j,i,lij->ijl", sl, isl, c) + np.einsum("i,j,lji->ijl", sl, isl, c),
+    }
+    return {key: np.ascontiguousarray(val) for key, val in patterns.items()}
+
+
+def _reference_curvature_blocks(t):
+    """The six expanded curvature blocks from the inline patterns."""
+    c = t.base.c
+    sl = t.phi_data.sqrt_lambdas
+    isl = 1.0 / sl
+    pat = _reference_patterns(t)
+    p, a, v, w, brv = (pat[key] for key in ("p", "a", "v", "w", "brv"))
+    g1f = np.einsum("l,k,jkl->jkl", sl, isl, c) - np.einsum("j,l,klj->jkl", sl, isl, c)
+    a5 = np.einsum("l,j,jkl->jkl", sl, isl, c) + np.einsum("k,l,ljk->jkl", sl, isl, c)
+    return {
+        "ccc": 0.25 * (
+            np.einsum("jkl,ilh->ijkh", p, p)
+            - np.einsum("ikl,jlh->ijkh", p, p)
+            - 2.0 * np.einsum("ijl,lkh->ijkh", c, p)
+        ),
+        "ccv": 0.25 * (
+            np.einsum("jkl,ilh->ijkh", a, a)
+            - np.einsum("ikl,jlh->ijkh", a, a)
+            - 2.0 * np.einsum("ijl,lkh->ijkh", c, a)
+        ),
+        "vcc": 0.25 * (
+            np.einsum("jkl,ilh->ijkh", p, v)
+            - np.einsum("ikl,jlh->ijkh", v, a)
+            - 2.0 * np.einsum("ijl,lkh->ijkh", brv, v)
+        ),
+        "vvc": 0.25 * (
+            np.einsum("jkl,ilh->ijkh", g1f, w) - np.einsum("ikl,jlh->ijkh", v, w)
+        ),
+        "vcv": 0.25 * (
+            np.einsum("jkl,ilh->ijkh", a5, w)
+            - np.einsum("ikl,jlh->ijkh", w, p)
+            - 2.0 * np.einsum("k,i,ijl,lkh->ijkh", sl, isl, c, w)
+        ),
+        "vvv": 0.25 * (
+            np.einsum("jkl,ilh->ijkh", w, v) - np.einsum("ikl,jlh->ijkh", w, v)
+        ),
+    }
+
+
+def _reference_sectional_closed_forms(t):
+    """The three pair-sectional arrays from the inline patterns."""
+    c = t.base.c
+    lam = t.phi_data.lambdas
+    pat = _reference_patterns(t)
+    p1, mixed = pat["p1"], pat["mixed"]
+    cross = np.einsum("ljj,lii->ij", c, c)
+    q1 = np.einsum("jli->ijl", c) - np.einsum("lij->ijl", c) + c
+    r1 = np.einsum("lji->ijl", c) - np.einsum("jil->ijl", c) + np.einsum("ilj->ijl", c)
+    cc = 0.25 * (
+        -4.0 * cross
+        - np.einsum("ijl,ijl->ij", p1, q1)
+        - 2.0 * np.einsum("ijl,ijl->ij", c, r1)
+    )
+    vv = 0.25 * (np.einsum("ijl,ijl->ij", mixed, mixed) - 4.0 * cross)
+    ratio = lam[:, None] / lam[None, :]
+    vc = 0.25 * (
+        np.einsum("il,jli->ij", ratio, c**2)
+        - 3.0 * np.einsum("li,ijl->ij", ratio, c**2)
+        - 2.0 * np.einsum("ijl,lji->ij", c, c)
+        - 4.0 * cross
+    )
+    for m in (cc, vv, vc):
+        np.fill_diagonal(m, 0.0)
+    return {"cc": cc, "vv": vv, "vc": vc}
+
+
+def test_formula_arrays_equal_inline_reference(rng):
+    # the patterns read off the structure-constant connection are the
+    # same floating-point numbers as the inline sums
+    for t in _seeded_tangents(rng):
+        n = t.dim
+        gamma2 = 2.0 * lifted_connection_structure_constants(t).gamma
+        pat = _reference_patterns(t)
+        for key, got in (
+            ("p", gamma2[n:, n:, n:]),
+            ("a", gamma2[n:, :n, :n]),
+            ("v", gamma2[:n, n:, :n]),
+            ("w", gamma2[:n, :n, n:]),
+            ("brv", t.lifted.c[:n, n:, :n]),
+            ("p1", gamma2[n:, n:, n:]),
+            ("mixed", gamma2[:n, :n, n:]),
+        ):
+            assert np.array_equal(got, pat[key]), key
+        blocks = structure_constant_curvature_blocks(t)
+        for key, want in _reference_curvature_blocks(t).items():
+            assert np.array_equal(blocks[key], want), key
+        forms = lifted_sectional_closed_forms(t)
+        for key, want in _reference_sectional_closed_forms(t).items():
+            assert np.array_equal(forms[key], want), key
+
+
 def test_ambiguous_blocks_reported_not_asserted():
     # the retained vvc/vcv expansions disagree with the oracle once the
     # eigenvalues separate; solvable_rr2 pins the deviation
@@ -493,6 +641,24 @@ def test_solvable_sectional_value():
         1.0 / 12.0,
         atol=1e-12,
     )
+
+
+def test_sectional_without_tensor_matches_tensor(rng):
+    for t in _seeded_tangents(rng):
+        riem = lifted_curvature(t)
+        scale = max(1.0, float(np.max(np.abs(riem.r))))
+        for _ in range(3):
+            u, v = rng.standard_normal((2, 2 * t.dim))
+            assert abs(
+                lifted_sectional(t, u, v) - lifted_sectional(t, u, v, riem)
+            ) <= 1e-12 * scale
+
+
+def test_sectional_without_tensor_rejects_degenerate_plane():
+    t = _tangent("heisenberg")
+    u = vertical_lift(t, Y)
+    with pytest.raises(DegeneratePlane):
+        lifted_sectional(t, u, 2.0 * u)
 
 
 @pytest.mark.parametrize("name", CATALOG)
