@@ -18,6 +18,12 @@ Bracket entries carry only the ``i < j`` orientation; the opposite one is
 implied by antisymmetry and rejected if present.  Lie algebras are checked
 against the Jacobi identity and metrics against positive definiteness at
 load time.
+
+There is one reader and one writer of the format: every problem, from a
+file or from the built-in catalog, enters through :func:`problem_from_dict`,
+and every problem document, the lifted one of ``tanglie lift`` included,
+leaves through :meth:`ProblemFile.to_dict`.  Every library error
+(:class:`~tanglie.errors.TanglieError`) ends a command with exit code 2.
 """
 
 from __future__ import annotations
@@ -35,14 +41,11 @@ from . import metric_geometry as mg
 from . import symplectic_lift as sp
 from . import tangent_lift as tl
 from .errors import (
-    DegeneratePlane,
     ExprError,
-    InvalidDimension,
     NonPositiveDefinite,
     NotSymplecticInput,
     ParseError,
-    PreconditionViolated,
-    SingularMap,
+    TanglieError,
     UnknownCatalogEntry,
     ValidationError,
 )
@@ -141,13 +144,23 @@ def _as_matrix(raw, path: str, dim: int) -> np.ndarray:
     return m
 
 
+def _section(doc: dict, key: str) -> dict:
+    raw = doc.get(key, {})
+    _require(isinstance(raw, dict), key, "must be an object")
+    return raw
+
+
 def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
     """Validate a parsed JSON document and construct the problem."""
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
     schema = doc.get("schema", SCHEMA)
     _require(schema == SCHEMA, "schema", f"unsupported schema {schema!r}")
     dim = doc.get("dim")
-    _require(isinstance(dim, int) and dim > 0, "dim", "must be a positive integer")
+    _require(
+        isinstance(dim, int) and not isinstance(dim, bool) and dim > 0,
+        "dim",
+        "must be a positive integer",
+    )
     basis = doc.get("basis", [f"X{i + 1}" for i in range(dim)])
     _require(
         isinstance(basis, list) and len(basis) == dim, "basis", f"needs {dim} labels"
@@ -156,7 +169,9 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
 
     entries: list[tuple[int, int, int, float]] = []
     seen: set[tuple[int, int, int]] = set()
-    for idx, item in enumerate(doc.get("brackets", [])):
+    brackets = doc.get("brackets", [])
+    _require(isinstance(brackets, list), "brackets", "must be a list")
+    for idx, item in enumerate(brackets):
         path = f"brackets[{idx}]"
         _require(isinstance(item, dict), path, "must be an object")
         try:
@@ -176,7 +191,7 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
         entries.append((i, j, k, v))
 
     metrics = {}
-    for name, raw in (doc.get("metrics") or {}).items():
+    for name, raw in _section(doc, "metrics").items():
         m = _as_matrix(raw, f"metrics.{name}", dim)
         try:
             Metric(m)
@@ -185,7 +200,7 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
         metrics[str(name)] = m
 
     symplectic = {}
-    for name, raw in (doc.get("symplectic") or {}).items():
+    for name, raw in _section(doc, "symplectic").items():
         m = _as_matrix(raw, f"symplectic.{name}", dim)
         try:
             sp.TwoForm(m)
@@ -194,7 +209,7 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
         symplectic[str(name)] = m
 
     autos = {}
-    for name, raw in (doc.get("automorphisms") or {}).items():
+    for name, raw in _section(doc, "automorphisms").items():
         autos[str(name)] = _as_matrix(raw, f"automorphisms.{name}", dim)
 
     problem = ProblemFile(
@@ -232,87 +247,66 @@ def load_problem(path: str) -> ProblemFile:
 # ---------------------------------------------------------------------------
 
 
-def _catalog_heisenberg() -> ProblemFile:
-    return ProblemFile(
-        name="heisenberg",
-        dim=3,
-        basis=("X", "Y", "Z"),
-        brackets=((0, 1, 2, 1.0),),
-        metrics={"g1": np.eye(3), "g2": np.diag([2.0, 2.0, 1.0])},
-        automorphisms={
-            "dilation": np.diag([2.0, 3.0, 6.0]),
-            "not_auto": np.diag([2.0, 3.0, 1.0]),
-        },
-    )
+def _diag(*entries: float) -> list[list[float]]:
+    n = len(entries)
+    return [[float(entries[i]) if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
-def _catalog_solvable_rr2() -> ProblemFile:
-    # [Z, X] = X, [Z, Y] = -Y
-    return ProblemFile(
-        name="solvable_rr2",
-        dim=3,
-        basis=("X", "Y", "Z"),
-        brackets=((0, 2, 0, -1.0), (1, 2, 1, 1.0)),
-        metrics={"g1": np.eye(3), "g2": np.diag([1.0, 2.0, 3.0])},
-        automorphisms={"axis_scale": np.diag([2.0, 3.0, 1.0])},
-    )
-
-
-def _catalog_su2() -> ProblemFile:
-    # cyclic bracket table; metrics are the negative Killing form
-    return ProblemFile(
-        name="su2",
-        dim=3,
-        basis=("X", "Y", "Z"),
-        brackets=((0, 1, 2, 1.0), (1, 2, 0, 1.0), (0, 2, 1, -1.0)),
-        metrics={"g1": 2.0 * np.eye(3), "g2": 2.0 * np.eye(3)},
-        automorphisms={
-            "rot_z": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        },
-    )
-
-
-def _catalog_aff1() -> ProblemFile:
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return ProblemFile(
-        name="aff1",
-        dim=2,
-        basis=("X", "Y"),
-        brackets=((0, 1, 1, 1.0),),
-        metrics={"g1": np.eye(2), "g2": np.diag([1.0, 2.0])},
-        symplectic={"w1": omega, "w2": omega},
-    )
-
-
-def _catalog_abelian2() -> ProblemFile:
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return ProblemFile(
-        name="abelian2",
-        dim=2,
-        basis=("X", "Y"),
-        brackets=(),
-        metrics={"g1": np.eye(2), "g2": np.diag([1.0, 2.0])},
-        symplectic={"w1": omega, "w2": 2.0 * omega},
-    )
-
-
-def _catalog_abelian3() -> ProblemFile:
-    return ProblemFile(
-        name="abelian3",
-        dim=3,
-        basis=("X", "Y", "Z"),
-        brackets=(),
-        metrics={"g1": np.eye(3), "g2": np.diag([1.0, 2.0, 3.0])},
-    )
-
-
+# Built-in problems as tanglie/1 documents; catalog_algebra validates each
+# like a file, and the plain lists give every call fresh arrays.
 _CATALOG = {
-    "heisenberg": _catalog_heisenberg,
-    "solvable_rr2": _catalog_solvable_rr2,
-    "su2": _catalog_su2,
-    "aff1": _catalog_aff1,
-    "abelian2": _catalog_abelian2,
-    "abelian3": _catalog_abelian3,
+    "heisenberg": {
+        "dim": 3,
+        "basis": ["X", "Y", "Z"],
+        "brackets": [{"i": 0, "j": 1, "k": 2, "value": 1.0}],
+        "metrics": {"g1": _diag(1, 1, 1), "g2": _diag(2, 2, 1)},
+        "automorphisms": {"dilation": _diag(2, 3, 6), "not_auto": _diag(2, 3, 1)},
+    },
+    # [Z, X] = X, [Z, Y] = -Y
+    "solvable_rr2": {
+        "dim": 3,
+        "basis": ["X", "Y", "Z"],
+        "brackets": [
+            {"i": 0, "j": 2, "k": 0, "value": -1.0},
+            {"i": 1, "j": 2, "k": 1, "value": 1.0},
+        ],
+        "metrics": {"g1": _diag(1, 1, 1), "g2": _diag(1, 2, 3)},
+        "automorphisms": {"axis_scale": _diag(2, 3, 1)},
+    },
+    # cyclic bracket table; metrics are the negative Killing form
+    "su2": {
+        "dim": 3,
+        "basis": ["X", "Y", "Z"],
+        "brackets": [
+            {"i": 0, "j": 1, "k": 2, "value": 1.0},
+            {"i": 1, "j": 2, "k": 0, "value": 1.0},
+            {"i": 0, "j": 2, "k": 1, "value": -1.0},
+        ],
+        "metrics": {"g1": _diag(2, 2, 2), "g2": _diag(2, 2, 2)},
+        "automorphisms": {
+            "rot_z": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        },
+    },
+    "aff1": {
+        "dim": 2,
+        "basis": ["X", "Y"],
+        "brackets": [{"i": 0, "j": 1, "k": 1, "value": 1.0}],
+        "metrics": {"g1": _diag(1, 1), "g2": _diag(1, 2)},
+        "symplectic": {"w1": [[0.0, 1.0], [-1.0, 0.0]], "w2": [[0.0, 1.0], [-1.0, 0.0]]},
+    },
+    "abelian2": {
+        "dim": 2,
+        "basis": ["X", "Y"],
+        "brackets": [],
+        "metrics": {"g1": _diag(1, 1), "g2": _diag(1, 2)},
+        "symplectic": {"w1": [[0.0, 1.0], [-1.0, 0.0]], "w2": [[0.0, 2.0], [-2.0, 0.0]]},
+    },
+    "abelian3": {
+        "dim": 3,
+        "basis": ["X", "Y", "Z"],
+        "brackets": [],
+        "metrics": {"g1": _diag(1, 1, 1), "g2": _diag(1, 2, 3)},
+    },
 }
 
 CATALOG_NAMES = tuple(sorted(_CATALOG))
@@ -321,12 +315,12 @@ CATALOG_NAMES = tuple(sorted(_CATALOG))
 def catalog_algebra(name: str) -> ProblemFile:
     """Return a built-in problem by name."""
     try:
-        builder = _CATALOG[name]
+        doc = _CATALOG[name]
     except KeyError:
         raise UnknownCatalogEntry(
             f"unknown catalog entry {name!r}; available: {', '.join(CATALOG_NAMES)}"
         ) from None
-    return builder()
+    return problem_from_dict(doc, name)
 
 
 def resolve_problem(source: str) -> ProblemFile:
@@ -423,17 +417,19 @@ def parse_lifted_expr(t: tl.TangentLieAlgebra, s: str) -> np.ndarray:
     """
     labels = t.input_algebra.basis_labels
     u = np.zeros(2 * t.dim)
-    for coef, idx, kind in _scan_terms(s, labels, lifted=True):
-        e = t.input_algebra.basis_vector(idx)
-        u += coef * (tl.vertical_lift(t, e) if kind == "v" else tl.complete_lift(t, e))
+    with np.errstate(over="ignore"):  # a sum out of range is rejected where used
+        for coef, idx, kind in _scan_terms(s, labels, lifted=True):
+            e = t.input_algebra.basis_vector(idx)
+            u += coef * (tl.vertical_lift(t, e) if kind == "v" else tl.complete_lift(t, e))
     return u
 
 
 def parse_base_expr(algebra: LieAlgebra, s: str) -> np.ndarray:
     """Parse a base-vector expression such as ``"X + 2*Z"``."""
     x = np.zeros(algebra.dim)
-    for coef, idx, _ in _scan_terms(s, algebra.basis_labels, lifted=False):
-        x[idx] += coef
+    with np.errstate(over="ignore"):  # a sum out of range is rejected where used
+        for coef, idx, _ in _scan_terms(s, algebra.basis_labels, lifted=False):
+            x[idx] += coef
     return x
 
 
@@ -500,8 +496,8 @@ class Report:
             "passed": self.passed,
         }
 
-    def emit(self, json_mode: bool, stream=None) -> None:
-        stream = stream or sys.stdout
+    def emit(self, json_mode: bool) -> None:
+        stream = sys.stdout
         if json_mode:
             json.dump(self.to_dict(), stream, indent=2)
             stream.write("\n")
@@ -653,31 +649,26 @@ def _cmd_sectional(args, report: Report):
 
 
 def _lifted_problem_doc(t: tl.TangentLieAlgebra, name: str) -> dict:
-    n = t.dim
-    b = t.lifted.c
-    brackets = []
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            for k in range(2 * n):
-                if b[i, j, k] != 0.0:
-                    brackets.append({"i": i, "j": j, "k": k, "value": float(b[i, j, k])})
-    return {
-        "schema": SCHEMA,
-        "name": f"{name}_tangent",
-        "dim": 2 * n,
-        "basis": list(t.lifted.basis_labels),
-        "brackets": brackets,
-        "metrics": {
-            "g1": np.eye(2 * n).tolist(),
-            "g2": np.eye(2 * n).tolist(),
-        },
-        "meta": {
-            "index_convention": LIFT_INDEX_CONVENTION,
-            "lambdas": [float(v) for v in t.phi_data.lambdas],
-            "eigenbasis_columns": t.phi_data.b1.tolist(),
-            "lifted_metric_unnormalized": tl.unnormalized_lifted_metric(t).tolist(),
-        },
+    c = t.lifted.c
+    eye = np.eye(2 * t.dim)
+    doc = ProblemFile(
+        name=f"{name}_tangent",
+        dim=2 * t.dim,
+        basis=t.lifted.basis_labels,
+        brackets=tuple(
+            (int(i), int(j), int(k), float(c[i, j, k]))
+            for i, j, k in np.argwhere(c)
+            if i < j
+        ),
+        metrics={"g1": eye, "g2": eye},
+    ).to_dict()
+    doc["meta"] = {
+        "index_convention": LIFT_INDEX_CONVENTION,
+        "lambdas": [float(v) for v in t.phi_data.lambdas],
+        "eigenbasis_columns": t.phi_data.b1.tolist(),
+        "lifted_metric_unnormalized": tl.unnormalized_lifted_metric(t).tolist(),
     }
+    return doc
 
 
 def _cmd_lift(args, report: Report):
@@ -695,9 +686,14 @@ def _cmd_lift(args, report: Report):
     )
     report.result = {"problem": doc}
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ParseError(
+                f"--output: cannot write {args.output}: {exc.strerror or exc}"
+            ) from None
 
 
 def _cmd_field(args, report: Report):
@@ -711,9 +707,13 @@ def _cmd_field(args, report: Report):
     geo1 = mg.is_geodesic_vector(mla1, mg.levi_civita(mla1), x, tol)
     geo2 = mg.is_geodesic_vector(mla2, mg.levi_civita(mla2), x, tol)
     # direct check on the lift: vertical lifts are Killing exactly for
-    # central vectors
-    t = _tangent(problem)
-    lift_l = mg.lie_derivative_metric(t.lifted_mla(), tl.vertical_lift(t, x))
+    # central vectors.  Being Killing does not depend on the frame, so the
+    # raw lift {X_i^v, X_i^c} of the input basis with blockdiag(g2, g1) serves.
+    lifted = mg.MetricLieAlgebra(
+        tl.tangent_algebra_unnormalized(algebra),
+        Metric(tl.lift_automorphism(mla1.metric.g, mla2.metric.g)),
+    )
+    lift_l = mg.lie_derivative_metric(lifted, np.concatenate([x, np.zeros_like(x)]))
     vertical_killing = float(np.max(np.abs(lift_l))) <= tol
     report.check_bool(
         "vertical_killing_iff_central", vertical_killing == cls.in_center
@@ -787,7 +787,7 @@ def _cmd_symplectic(args, report: Report):
     singular = np.linalg.svd(lifted.w, compute_uv=False)
     report.check_bool("nondegenerate", bool(singular[-1] > 1e-6))
     report.check_bool(
-        "lifted_is_symplectic", sp.is_symplectic(t.lifted, lifted, 1e-9)
+        "lifted_is_symplectic", sp.is_symplectic(t.lifted, lifted)
     )
     report.result = {
         "lifted_form": tensor_payload(
@@ -868,19 +868,6 @@ _COMMANDS = {
     "symplectic": _cmd_symplectic,
 }
 
-_INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    UnknownCatalogEntry,
-    ExprError,
-    NotSymplecticInput,
-    InvalidDimension,
-    NonPositiveDefinite,
-    SingularMap,
-    DegeneratePlane,
-    PreconditionViolated,
-)
-
 
 def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code.
@@ -896,7 +883,7 @@ def run_command(argv: list[str]) -> int:
         problem = resolve_problem(args.problem)
         report = Report(argv, problem, args.tol)
         _COMMANDS[args.subcommand](args, report)
-    except _INPUT_ERRORS as exc:
+    except TanglieError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     report.emit(args.json)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDimension, NonPositiveDefinite, SingularMap
 
-# Default tolerances; the boolean checks accept an explicit override.
+# Default tolerances.
 EPS_JACOBI = 1e-9
 EPS_SYM = 1e-9
 EPS_PD = 1e-12
@@ -207,8 +207,8 @@ def center(algebra: LieAlgebra, tol: float = 1e-10) -> list[np.ndarray]:
     return basis
 
 
-def is_automorphism(algebra: LieAlgebra, tau, tol: float = CHECK_TOL) -> bool:
-    """True iff tau is invertible and commutes with the bracket within tol."""
+def is_automorphism(algebra: LieAlgebra, tau) -> bool:
+    """True iff tau is invertible and commutes with the bracket within CHECK_TOL."""
     tau = np.asarray(tau, dtype=float)
     n = algebra.dim
     if tau.shape != (n, n):
@@ -218,7 +218,7 @@ def is_automorphism(algebra: LieAlgebra, tau, tol: float = CHECK_TOL) -> bool:
     c = algebra.c
     lhs = np.einsum("ijm,km->ijk", c, tau)  # tau([X_i, X_j])
     rhs = np.einsum("pi,qj,pqk->ijk", tau, tau, c)  # [tau X_i, tau X_j]
-    return float(np.max(np.abs(lhs - rhs))) <= tol
+    return float(np.max(np.abs(lhs - rhs))) <= CHECK_TOL
 
 
 def pullback_metric(metric: Metric, tau) -> Metric:

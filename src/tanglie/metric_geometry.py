@@ -175,9 +175,9 @@ def bi_invariance_defect(mla: MetricLieAlgebra) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def is_bi_invariant(mla: MetricLieAlgebra, tol: float = CHECK_TOL) -> bool:
+def is_bi_invariant(mla: MetricLieAlgebra) -> bool:
     """Ad-invariance of the metric: g(X, [Y, Z]) = g([X, Y], Z) for all triples."""
-    return bi_invariance_defect(mla) <= tol
+    return bi_invariance_defect(mla) <= CHECK_TOL
 
 
 def _lowered_double_bracket(mla: MetricLieAlgebra) -> np.ndarray:
@@ -202,9 +202,9 @@ def double_bracket_defect(mla: MetricLieAlgebra) -> float:
     return float(np.max(np.abs(_lowered_double_bracket(mla))))
 
 
-def satisfies_double_bracket_condition(mla: MetricLieAlgebra, tol: float = CHECK_TOL) -> bool:
+def satisfies_double_bracket_condition(mla: MetricLieAlgebra) -> bool:
     """True iff g([Z, [X, Y]], W) vanishes for all basis quadruples."""
-    return double_bracket_defect(mla) <= tol
+    return double_bracket_defect(mla) <= CHECK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +254,20 @@ def classify_field(
     Restricted to left-invariant frames the conformal factor is a single
     scalar, fitted by least squares over all matrix entries; the field is
     conformal when the fit residual is below tol relative to the scale of
-    the Lie derivative.
+    the Lie derivative.  Raises PreconditionViolated when either Lie
+    derivative is not finite; a NaN fit would pass as a verdict.
     """
     if mla1.algebra is not mla2.algebra and not np.array_equal(
         mla1.algebra.c, mla2.algebra.c
     ):
         raise PreconditionViolated("both metrics must live on the same algebra")
-    l1 = lie_derivative_metric(mla1, x)
-    l2 = lie_derivative_metric(mla2, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        l1 = lie_derivative_metric(mla1, x)
+        l2 = lie_derivative_metric(mla2, x)
+    if not (np.all(np.isfinite(l1)) and np.all(np.isfinite(l2))):
+        raise PreconditionViolated(
+            "vector out of floating-point range: its Lie derivative is not finite"
+        )
     rho1, res1 = _conformal_fit(l1, mla1.metric.g)
     rho2, res2 = _conformal_fit(l2, mla2.metric.g)
     scale1 = max(1.0, float(np.max(np.abs(l1))))

@@ -65,14 +65,14 @@ def cocycle_defect(algebra: LieAlgebra, form: TwoForm) -> float:
     return float(np.max(np.abs(_cocycle_tensor(algebra.c, form.w))))
 
 
-def is_symplectic(algebra: LieAlgebra, form: TwoForm, tol: float = 1e-9) -> bool:
-    """Closed and nondegenerate; odd dimension always fails."""
+def is_symplectic(algebra: LieAlgebra, form: TwoForm) -> bool:
+    """Closed and nondegenerate within 1e-9; odd dimension always fails."""
     if algebra.dim % 2 == 1:
         return False
-    if cocycle_defect(algebra, form) > tol:
+    if cocycle_defect(algebra, form) > 1e-9:
         return False
     smallest = float(np.linalg.svd(form.w, compute_uv=False)[-1])
-    return smallest > tol
+    return smallest > 1e-9
 
 
 def lift_symplectic(

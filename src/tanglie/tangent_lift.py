@@ -463,7 +463,7 @@ def structure_constant_curvature_blocks(
 
 
 def curvature_block_deviations(
-    t: TangentLieAlgebra, riem: CurvatureTensor | None = None
+    t: TangentLieAlgebra, riem: CurvatureTensor
 ) -> dict[str, float]:
     """Max deviation of each expanded curvature block from the oracle tensor.
 
@@ -471,8 +471,6 @@ def curvature_block_deviations(
     deviation therefore compares against the full output fiber, treating
     the complementary block as zero.
     """
-    if riem is None:
-        riem = lifted_curvature(t)
     n = t.dim
     sl_of = {"v": slice(0, n), "c": slice(n, 2 * n)}
     blocks = structure_constant_curvature_blocks(t)

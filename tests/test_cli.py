@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,20 +13,27 @@ import pytest
 
 import tanglie
 from tanglie import (
+    CHECK_TOL,
     ExprError,
     ParseError,
     UnknownCatalogEntry,
     ValidationError,
     build_tangent,
     catalog_algebra,
+    center,
     levi_civita,
+    lie_derivative_metric,
     load_problem,
     parse_base_expr,
     parse_lifted_expr,
+    random_spd_metric,
     run_command,
+    vertical_lift,
 )
 from tanglie.cli_io import problem_from_dict
 from tanglie.metric_geometry import MetricLieAlgebra
+
+from conftest import CATALOG, SWEEP_SEED
 
 
 def _write(tmp_path, name, doc):
@@ -91,6 +100,31 @@ def test_load_rejects_jacobi_violation(tmp_path):
 def test_catalog_unknown_entry():
     with pytest.raises(UnknownCatalogEntry):
         catalog_algebra("nope")
+
+
+CATALOG_DIGESTS = {
+    "abelian2": "sha256:33bb36f52c9e1a3d9e919667cd9ff1e8a9fa416b75d9802940c034d5177086ed",
+    "abelian3": "sha256:51fef63167c8e7108c11dca5f9726bc9b56ec2c68bbe84abe7b473d3d46c9528",
+    "aff1": "sha256:b5bd9cee1ad21b8c0dd07ed9462f67ba2ee01d44515cc0d0dbe533ce08d1b0f5",
+    "heisenberg": "sha256:4058825f2b589024a544cbac29c68a33599391d13844a54f534c6263ebf79e09",
+    "solvable_rr2": "sha256:bb677fd71cb5dade969399a1cc961db1d1d71741ee9b14e1e1f09be12d6880ed",
+    "su2": "sha256:2b98fd46eb616fdb7cc02c6c91d126609723b0562add1133ab22d9f6d868a958",
+}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_digest_is_pinned(name):
+    assert catalog_algebra(name).digest() == CATALOG_DIGESTS[name]
+
+
+def test_catalog_calls_get_fresh_arrays():
+    first = catalog_algebra("aff1")
+    first.metrics["g2"][0, 0] = 7.0
+    first.symplectic["w1"][0, 1] = 7.0
+    second = catalog_algebra("aff1")
+    assert second.metrics["g2"][0, 0] == 1.0
+    assert second.symplectic["w1"][0, 1] == 1.0
+    assert second.digest() == CATALOG_DIGESTS["aff1"]
 
 
 def test_catalog_heisenberg_contents():
@@ -235,6 +269,65 @@ def test_field_command(capsys):
     assert res["in_center"] is True and res["vertical_lift_killing"] is True
 
 
+def _normalized_frame_vertical_killing(problem, x) -> bool:
+    """Reference: the Lie derivative of the lifted metric along x^v, taken in
+    the orthonormal eigenbasis frame of a built tangent algebra."""
+    t = build_tangent(problem.algebra(), problem.metric("g1"), problem.metric("g2"))
+    lie_l = lie_derivative_metric(t.lifted_mla(), vertical_lift(t, x))
+    return float(np.max(np.abs(lie_l))) <= CHECK_TOL
+
+
+def _base_expr(labels, x) -> str:
+    # the grammar has no leading sign, so open with a zero term
+    return f"0*{labels[0]}" + "".join(
+        f" {'-' if v < 0 else '+'} {float(abs(v))!r}*{label}"
+        for v, label in zip(x, labels)
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_field_vertical_lift_killing_matches_normalized_frame(name, tmp_path, capsys):
+    rng = np.random.default_rng(SWEEP_SEED)
+    docs = [catalog_algebra(name).to_dict()]
+    for k in range(2):
+        doc = catalog_algebra(name).to_dict()
+        n = doc["dim"]
+        doc["metrics"] = {
+            "g1": random_spd_metric(rng, n).g.tolist(),
+            "g2": random_spd_metric(rng, n).g.tolist(),
+        }
+        docs.append(doc)
+    for k, doc in enumerate(docs):
+        problem = problem_from_dict(doc)
+        algebra = problem.algebra()
+        n = algebra.dim
+        central = center(algebra)
+        vectors = [algebra.basis_vector(i) for i in range(n)]
+        vectors.append(rng.standard_normal(n))
+        if central:
+            vectors.append(rng.standard_normal(len(central)) @ np.array(central))
+        path = _write(tmp_path, f"p{k}.json", doc)
+        for x in vectors:
+            code = run_command(
+                ["field", path, "--vector", _base_expr(algebra.basis_labels, x), "--json"]
+            )
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert code == 0
+            want = _normalized_frame_vertical_killing(problem, x)
+            assert result["vertical_lift_killing"] is want
+            assert result["in_center"] is want
+
+
+def test_field_builds_no_tangent(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("field must not build a tangent algebra")
+
+    monkeypatch.setattr(tanglie.tangent_lift, "build_tangent", forbidden)
+    for vector in ("Z", "X + 2*Z"):
+        assert run_command(["field", "heisenberg", "--vector", vector]) == 0
+    capsys.readouterr()
+
+
 def test_equiv_command(capsys):
     code, report = _run_json(
         ["equiv", "heisenberg", "--tau", "dilation", "--tau2", "dilation"], capsys
@@ -345,11 +438,44 @@ def test_exit_codes(tmp_path, capsys):
         (["sectional", "heisenberg", "--plane", "1e999*Y^v,Z^v"], "coefficient 1e999"),
         (["field", "heisenberg", "--vector", "1e999*Z"], "coefficient 1e999"),
         (["sectional", "heisenberg", "--plane", "1e200*Y^v,Z^v"], "Gram determinant"),
+        (
+            ["sectional", "heisenberg", "--plane", "1e308*Y^v + 1e308*Y^v,Z^v"],
+            "Gram determinant",
+        ),
     ):
         assert run_command(argv + ["--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+    # a Lie derivative out of range, an unwritable --output and malformed
+    # problem sections are input errors too
+    doc = _heisenberg_doc()
+    sections = []
+    for key, value in (
+        ("symplectic", "x"),
+        ("automorphisms", [1]),
+        ("dim", True),
+        ("metrics", []),
+        ("brackets", {"0": {"i": 0, "j": 1, "k": 2, "value": 1.0}}),
+    ):
+        bad_doc = dict(doc, **{key: value})
+        bad_path = _write(tmp_path, f"{key}.json", bad_doc)
+        sections.append((["check", bad_path], f"ValidationError: {key}: must be"))
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv, message in (
+        (["field", "su2", "--vector", "1e308*X"], "vector out of floating-point range"),
+        (
+            ["field", "heisenberg", "--vector", "1e308*X + 1e308*X"],
+            "vector out of floating-point range",
+        ),
+        (["lift", "heisenberg", "-o", missing], f"--output: cannot write {missing}"),
+        *sections,
+    ):
+        assert run_command(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    assert not os.path.exists(missing)
     # a tolerance must be finite and non-negative
     for tol in ("nan", "inf", "-inf", "-1e-9"):
         assert run_command(["check", "heisenberg", f"--tol={tol}", "--json"]) == 2
@@ -364,6 +490,30 @@ def test_exit_codes(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+
+
+def _readme_examples() -> list[str]:
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    return re.findall(r"^tanglie (.+?)(?:\s+#.*)?$", text, flags=re.MULTILINE)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("example", _readme_examples())
+def test_readme_example_runs(example, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # `lift -o` writes next to the caller
+    code = run_command(shlex.split(example) + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    json.loads(captured.out, parse_constant=_reject_constant)
+
+
+def test_readme_examples_found():
+    assert len(_readme_examples()) >= 9
 
 
 def test_usage_error_is_exit_2(capsys):

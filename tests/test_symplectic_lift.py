@@ -106,7 +106,7 @@ def test_lifted_form_is_symplectic(name):
     problem = catalog_algebra(name)
     t = _tangent(problem)
     lifted = lift_symplectic(t, problem.two_form("w1"), problem.two_form("w2"))
-    assert is_symplectic(t.lifted, lifted, 1e-9)
+    assert is_symplectic(t.lifted, lifted)
     residuals = verify_closedness_identities(t, lifted)
     assert max(residuals.values()) <= 1e-9
     assert residuals["vvv"] == 0.0
@@ -135,7 +135,7 @@ def test_product_algebra_product_forms():
     assert is_symplectic(algebra, form)
     t = build_tangent(algebra, Metric(np.eye(4)), Metric(np.diag([1.0, 2.0, 3.0, 4.0])))
     lifted = lift_symplectic(t, form, form)
-    assert is_symplectic(t.lifted, lifted, 1e-9)
+    assert is_symplectic(t.lifted, lifted)
     assert max(verify_closedness_identities(t, lifted).values()) <= 1e-9
 
 

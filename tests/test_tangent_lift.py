@@ -467,7 +467,7 @@ def test_complete_block_is_base_curvature(name, rng):
 def test_structure_constant_blocks_with_unique_reading(name, rng):
     for _ in range(5):
         t = _random_tangent(name, rng)
-        dev = curvature_block_deviations(t)
+        dev = curvature_block_deviations(t, lifted_curvature(t))
         assert dev["ccc"] <= 1e-8
         assert dev["ccv"] <= 1e-8
         assert dev["vcc"] <= 1e-8
@@ -489,7 +489,7 @@ def test_higher_dimensional_lift_pipeline(rng):
         npt.assert_allclose(
             lifted_connection_structure_constants(t).gamma, koszul.gamma, atol=1e-8
         )
-        dev = curvature_block_deviations(t)
+        dev = curvature_block_deviations(t, lifted_curvature(t))
         assert dev["ccc"] <= 1e-8 and dev["vvv"] <= 1e-8
 
 
@@ -609,7 +609,8 @@ def test_formula_arrays_equal_inline_reference(rng):
 def test_ambiguous_blocks_reported_not_asserted():
     # the retained vvc/vcv expansions disagree with the oracle once the
     # eigenvalues separate; solvable_rr2 pins the deviation
-    dev = curvature_block_deviations(_tangent("solvable_rr2"))
+    t = _tangent("solvable_rr2")
+    dev = curvature_block_deviations(t, lifted_curvature(t))
     assert dev["vvc"] > 1e-6
     assert dev["vcv"] > 1e-6
 
