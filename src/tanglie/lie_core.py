@@ -228,7 +228,9 @@ def pullback_metric(metric: Metric, tau) -> Metric:
         raise InvalidDimension(f"map shape {tau.shape}, metric dim {metric.dim}")
     if np.linalg.matrix_rank(tau) < metric.dim:
         raise SingularMap("pullback by a singular map")
-    return Metric(tau.T @ metric.g @ tau)
+    pulled = tau.T @ metric.g @ tau
+    # symmetric in exact arithmetic; its rounding is not an input error
+    return Metric(0.5 * (pulled + pulled.T))
 
 
 def change_basis_constants(algebra: LieAlgebra, b, labels=None) -> LieAlgebra:

@@ -291,9 +291,16 @@ def classify_field(
 def is_geodesic_vector(
     mla: MetricLieAlgebra, conn: Connection, x, tol: float = CHECK_TOL
 ) -> bool:
-    """True iff the metric norm of nabla_x x is below tol."""
+    """True iff the metric norm of nabla_u u is below tol, u = x / max|x|.
+
+    Being geodesic does not depend on the scale of x, and the rescaled u
+    keeps u (x) u from overflowing or underflowing.  The zero vector is
+    geodesic.
+    """
     x = mla.algebra.vector(x)
-    return mla.metric.norm(conn.apply(x, x)) <= tol
+    size = np.max(np.abs(x))
+    u = x / size if size else x
+    return mla.metric.norm(conn.apply(u, u)) <= tol
 
 
 # ---------------------------------------------------------------------------

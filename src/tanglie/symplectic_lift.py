@@ -108,7 +108,9 @@ def lift_symplectic(
     cv = w2b * isl[None, :]  # wt(X_i^c, V_j) = w2(X_i, X_j) / sqrt(lambda_j)
     wt[n:, :n] = cv
     wt[:n, n:] = -cv.T
-    return TwoForm(wt)
+    # b1^T w b1 is antisymmetric in exact arithmetic; its rounding is not
+    # an input error, so antisymmetrize before TwoForm checks it
+    return TwoForm(0.5 * (wt - wt.T))
 
 
 #: the eight lift-type patterns of the cyclic cocycle identity, in the

@@ -8,7 +8,10 @@ by normalized vertical lifts together with complete lifts,
     basis index i       (0 <= i < n):   X_i^v / sqrt(lambda_i),
     basis index n + i   (0 <= i < n):   X_i^c,
 
-with X_i running over B1.  In this frame the lifted metric
+with X_i running over B1.  In B1 the base metrics are g1 = I and
+g2 = diag(lambda) by definition, and the library stores them that way,
+never as the congruences B1^T g B1, so the metrics carry no rounding
+beyond the eigen-solve that finds B1.  In this frame the lifted metric
 
     gt(X^c, Y^c) = g1(X, Y),  gt(X^v, Y^v) = g2(X, Y),  gt(X^c, Y^v) = 0
 
@@ -26,10 +29,9 @@ and :func:`lifted_sectional` work.  The lambda-weighted Christoffel sums
 of the paper are derived once, in :func:`lifted_connection_structure_constants`;
 the paper's formulas built on them (:func:`structure_constant_curvature_blocks`,
 :func:`curvature_block_deviations`, :func:`lifted_sectional_closed_forms`)
-and :func:`vertical_vertical_coefficients` are kept for checking and for
-``--compare``.  Every closed form is checked in the tests against the
-generic Koszul/curvature oracle from :mod:`tanglie.metric_geometry`
-applied to the lifted metric Lie algebra.
+are kept for checking and for ``--compare``.  Every closed form is
+checked in the tests against the generic Koszul/curvature oracle from
+:mod:`tanglie.metric_geometry` applied to the lifted metric Lie algebra.
 """
 
 from __future__ import annotations
@@ -68,14 +70,13 @@ from .metric_geometry import (
 
 @dataclass(frozen=True)
 class PhiData:
-    """Symmetric intertwiner of two inner products and its eigendata.
+    """Eigendata of the symmetric intertwiner ``phi = g1^{-1} g2``.
 
-    ``phi`` is ``g1^{-1} g2`` in the input basis; ``b1`` holds the
-    g1-orthonormal eigenvectors as columns, ordered by ascending
-    eigenvalue ``lambdas``.
+    ``b1`` holds the g1-orthonormal eigenvectors as columns, ordered by
+    ascending eigenvalue ``lambdas``.  In that frame phi is diag(lambdas),
+    g1 is the identity and g2 is diag(lambdas), exactly and by definition.
     """
 
-    phi: np.ndarray = field(repr=False)
     lambdas: np.ndarray
     b1: np.ndarray = field(repr=False)
 
@@ -137,8 +138,7 @@ def compute_phi(g1: Metric, g2: Metric) -> PhiData:
         b1[:, start:stop] = np.column_stack(cols)
         start = stop
 
-    phi = np.linalg.solve(g1.g, g2.g)
-    return PhiData(phi=phi, lambdas=lam.copy(), b1=b1)
+    return PhiData(lambdas=lam.copy(), b1=b1)
 
 
 def _eigenbasis_labels(b1: np.ndarray, labels: tuple[str, ...]) -> tuple[str, ...]:
@@ -167,10 +167,10 @@ class TangentLieAlgebra:
     """Double-dimension algebra of lifted fields with its block metric.
 
     ``base`` is the input algebra re-expressed in the eigenbasis B1;
-    ``base_g1``/``base_g2`` are the inner products in that basis (identity
-    and diag(lambda) up to rounding).  ``lifted`` carries the bracket of
-    the normalized lift basis described in the module docstring, in which
-    ``lifted_metric`` is the identity.  The original input data is kept
+    ``base_g1``/``base_g2`` are the inner products in that basis, the
+    identity and diag(lambda) exactly, by the definition of B1.  ``lifted``
+    carries the bracket of the normalized lift basis described in the
+    module docstring, in which ``lifted_metric`` is the identity.  The original input data is kept
     for conversions and reporting.
     """
 
@@ -213,8 +213,6 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     base = change_basis_constants(
         algebra, b1, _eigenbasis_labels(b1, algebra.basis_labels)
     )
-    base_g1 = Metric(b1.T @ g1.g @ b1)
-    base_g2 = Metric(b1.T @ g2.g @ b1)
 
     sl = phi_data.sqrt_lambdas
     isl = 1.0 / sl
@@ -235,8 +233,8 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
         input_g2=g2,
         phi_data=phi_data,
         base=base,
-        base_g1=base_g1,
-        base_g2=base_g2,
+        base_g1=Metric.identity(n),
+        base_g2=Metric(np.diag(phi_data.lambdas)),
         lifted=lifted,
         lifted_metric=Metric.identity(2 * n),
     )
@@ -319,7 +317,7 @@ def lifted_connection_closed_form(t: TangentLieAlgebra) -> Connection:
     sl = t.phi_data.sqrt_lambdas
     isl = 1.0 / sl
     c = t.base.c
-    phi_b = np.linalg.solve(t.base_g1.g, t.base_g2.g)
+    phi_b = np.diag(t.phi_data.lambdas)  # phi = g1^{-1} g2 in the eigenbasis
     # adstar[j, k, i] = k-component of adstar2(X_j) applied to X_i
     adstar = np.stack(
         [ad_star(t.base, t.base_g2, t.base.basis_vector(j)) for j in range(n)]
@@ -368,21 +366,6 @@ def lifted_connection_structure_constants(t: TangentLieAlgebra) -> Connection:
         np.einsum("l,i,ijl->ijl", sl, isl, c) - np.einsum("i,l,jli->ijl", sl, isl, c)
     )
     return Connection(gamma)
-
-
-def vertical_vertical_coefficients(t: TangentLieAlgebra, x, y) -> np.ndarray:
-    """Complete-block coefficients of nabla_{x^v} y^v for eigenbasis vectors.
-
-    x and y are coefficient vectors in the eigenbasis; the result is
-    sum_ij x_i y_j lambda_k (Gamma2_ijk - c_ijk / 2) on the complete
-    basis fields, with Gamma2 the base Levi-Civita connection of g2.
-    """
-    x = t.base.vector(x)
-    y = t.base.vector(y)
-    conn2 = levi_civita(t.base_mla2())
-    return np.einsum(
-        "i,j,ijk,k->k", x, y, conn2.gamma - 0.5 * t.base.c, t.phi_data.lambdas
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,3 +36,21 @@ def aff1():
 @pytest.fixture(params=CATALOG)
 def catalog_problem(request):
     return catalog_algebra(request.param)
+
+
+def h7_doc(seed, spread):
+    """tanglie/1 document of h7 with an ill-conditioned rotated metric pair.
+
+    [X_i, X_{3+i}] = X_7 for i = 1, 2, 3; g1 = I and g2 = Q diag(logspace(0,
+    spread, 7)) Q^T, symmetrized, with Q the Q factor of a seeded Gaussian
+    matrix, so the eigenvalues of the pair span 10^spread.
+    """
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((7, 7)))
+    g2 = q @ np.diag(np.logspace(0, spread, 7)) @ q.T
+    return {
+        "schema": "tanglie/1",
+        "name": f"h7_seed{seed}_spread{spread}",
+        "dim": 7,
+        "brackets": [{"i": i, "j": 3 + i, "k": 6, "value": 1.0} for i in range(3)],
+        "metrics": {"g1": np.eye(7).tolist(), "g2": (0.5 * (g2 + g2.T)).tolist()},
+    }

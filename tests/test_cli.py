@@ -20,6 +20,7 @@ from tanglie import (
     ValidationError,
     build_tangent,
     catalog_algebra,
+    compute_phi,
     center,
     levi_civita,
     lie_derivative_metric,
@@ -33,7 +34,7 @@ from tanglie import (
 from tanglie.cli_io import problem_from_dict
 from tanglie.metric_geometry import MetricLieAlgebra
 
-from conftest import CATALOG, SWEEP_SEED
+from conftest import CATALOG, SWEEP_SEED, h7_doc
 
 
 def _write(tmp_path, name, doc):
@@ -267,6 +268,21 @@ def test_field_command(capsys):
     res = report["result"]
     assert res["killing"] == {"g1": True, "g2": True}
     assert res["in_center"] is True and res["vertical_lift_killing"] is True
+
+
+@pytest.mark.parametrize(
+    "name, vector, geodesic",
+    [
+        ("su2", "1e160*X", True),
+        ("heisenberg", "1e160*X", True),
+        ("heisenberg", "1e-5*X + 1e-5*Z", False),
+        ("heisenberg", "X + Z", False),
+    ],
+)
+def test_field_geodesic_does_not_depend_on_scale(name, vector, geodesic, capsys):
+    code, report = _run_json(["field", name, "--vector", vector], capsys)
+    assert code == 0
+    assert report["result"]["geodesic"] == {"g1": geodesic, "g2": geodesic}
 
 
 def _normalized_frame_vertical_killing(problem, x) -> bool:
@@ -541,3 +557,41 @@ def test_import_does_not_load_scipy():
     proc = _run_python("-c", "import sys, tanglie; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Ill-conditioned pairs: h7 with eigenvalues spread over 10^s
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spread, argv",
+    [
+        (6, ["curvature", "--metric", "lift", "--compare"]),
+        (7, ["connection", "--metric", "lift"]),
+        (8, ["connection", "--metric", "lift"]),
+    ],
+)
+def test_h7_spread_passes(spread, argv, tmp_path, capsys):
+    # the frame metrics must be I and diag(lambda) by definition: the
+    # rounding of a recomputed b1^T g b1 exceeds fixed bounds on these pairs
+    codes = []
+    for seed in range(10):
+        path = _write(tmp_path, f"h7_{seed}.json", h7_doc(seed, spread))
+        codes.append(run_command(argv[:1] + [path] + argv[1:]))
+    capsys.readouterr()
+    assert codes == [0] * 10
+
+
+def test_h7_eigenframe_definition():
+    # build_tangent takes g1 = I and g2 = diag(lambda) in the frame b1
+    # without recomputing them; compute_phi must make that true
+    for spread in range(11):
+        for seed in range(10):
+            problem = problem_from_dict(h7_doc(seed, spread))
+            g1, g2 = problem.metric("g1"), problem.metric("g2")
+            data = compute_phi(g1, g2)
+            b1, lam = data.b1, data.lambdas
+            assert np.max(np.abs(b1.T @ g1.g @ b1 - np.eye(7))) <= 1e-14
+            rel = np.abs(b1.T @ g2.g @ b1 - np.diag(lam)) / np.sqrt(np.outer(lam, lam))
+            assert np.max(rel) <= 1e-14 * 10.0**spread

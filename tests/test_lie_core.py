@@ -215,6 +215,21 @@ def test_pullback_rejects_singular_map():
         pullback_metric(Metric(np.eye(2)), np.zeros((2, 2)))
 
 
+def test_pullback_rounding_is_not_an_input_error():
+    # tau^T g tau is symmetric in exact arithmetic; unsymmetrized, this
+    # product's rounding asymmetry is 1.9e-9, over Metric's 1e-9
+    a, b, c, d, e, f = (
+        134.366877, 182.85812, 620.421919, 561.308716, 860.691177, -491.122815
+    )
+    tau = np.array([[a, b, 0.0], [c, d, 0.0], [e, f, a * d - b * c]])
+    assert is_automorphism(catalog_algebra("heisenberg").algebra(), tau)
+    g = Metric([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+    product = tau.T @ g.g @ tau
+    assert np.max(np.abs(product - product.T)) > 1e-9
+    pulled = pullback_metric(g, tau)
+    npt.assert_array_equal(pulled.g, 0.5 * (product + product.T))
+
+
 def test_pullback_contravariant_functorial(rng):
     g = Metric(np.diag([1.0, 2.0, 3.0]))
     for _ in range(10):

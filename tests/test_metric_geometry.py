@@ -251,6 +251,15 @@ def test_geodesic_vectors():
     assert not is_geodesic_vector(mla_s, conn_s, X + Z, 1e-9)
 
 
+def test_geodesic_vectors_ignore_scale():
+    mla_s = _mla("solvable_rr2")
+    conn_s = levi_civita(mla_s)
+    assert is_geodesic_vector(mla_s, conn_s, np.zeros(3), 1e-9)
+    for scale in (1e-160, 1e-5, 1.0, 1e160):
+        assert is_geodesic_vector(mla_s, conn_s, scale * Z, 1e-9)
+        assert not is_geodesic_vector(mla_s, conn_s, scale * (X + Z), 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Equivariance under automorphism pullback
 # ---------------------------------------------------------------------------

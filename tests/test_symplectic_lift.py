@@ -126,6 +126,22 @@ def test_vertical_complete_pairing_is_w2():
     assert abs(np.linalg.det(pairing)) > 1e-6
 
 
+def test_lift_rounding_is_not_an_input_error():
+    # b1^T w b1 is antisymmetric in exact arithmetic; unantisymmetrized,
+    # this lift's rounding asymmetry is 1.5e-8, over TwoForm's 1e-9
+    algebra = catalog_algebra("aff1").algebra()
+    t = build_tangent(
+        algebra, Metric([[2.0, 0.7], [0.7, 1.0]]), Metric([[1.0, 0.2], [0.2, 3.0]])
+    )
+    w = TwoForm(1e8 * J2)
+    lifted = lift_symplectic(t, w, w)
+    npt.assert_array_equal(lifted.w, -lifted.w.T)
+    b1 = t.phi_data.b1
+    npt.assert_allclose(
+        lifted.w[2:, 2:], b1.T @ w.w @ b1, rtol=0, atol=1e-15 * np.max(np.abs(lifted.w))
+    )
+
+
 def test_product_algebra_product_forms():
     algebra = _sum_algebra()
     w = np.zeros((4, 4))

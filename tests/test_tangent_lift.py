@@ -10,6 +10,7 @@ from tanglie import (
     LieAlgebra,
     Metric,
     MetricLieAlgebra,
+    NonPositiveDefinite,
     bi_invariance_of_lift,
     bracket,
     build_tangent,
@@ -37,9 +38,10 @@ from tanglie import (
     tangent_algebra_unnormalized,
     unnormalized_lifted_metric,
     vertical_lift,
-    vertical_vertical_coefficients,
 )
-from conftest import CATALOG
+from tanglie.cli_io import problem_from_dict
+
+from conftest import CATALOG, h7_doc
 
 X, Y, Z = np.eye(3)
 
@@ -100,14 +102,14 @@ def test_phi_equal_metrics_is_identity():
     g = Metric(np.diag([2.0, 2.0, 2.0]))
     data = compute_phi(g, g)
     npt.assert_allclose(data.lambdas, 1.0, atol=1e-12)
-    npt.assert_allclose(data.phi, np.eye(3), atol=1e-12)
     npt.assert_allclose(data.b1.T @ g.g @ data.b1, np.eye(3), atol=1e-12)
 
 
 def test_phi_heisenberg(heisenberg):
     data = compute_phi(heisenberg.metric("g1"), heisenberg.metric("g2"))
     npt.assert_allclose(data.lambdas, [1.0, 2.0, 2.0])
-    npt.assert_allclose(data.phi, np.diag([2.0, 2.0, 1.0]))
+    g1, g2 = heisenberg.metric("g1").g, heisenberg.metric("g2").g
+    npt.assert_allclose(np.linalg.solve(g1, g2), np.diag([2.0, 2.0, 1.0]))
     # degenerate eigenspace fixed by projecting X then Y, after Z
     npt.assert_allclose(data.b1, np.column_stack([Z, X, Y]), atol=1e-12)
 
@@ -115,7 +117,8 @@ def test_phi_heisenberg(heisenberg):
 def test_phi_solvable(solvable):
     data = compute_phi(solvable.metric("g1"), solvable.metric("g2"))
     npt.assert_allclose(data.lambdas, [1.0, 2.0, 3.0])
-    npt.assert_allclose(data.phi, np.diag([1.0, 2.0, 3.0]))
+    g1, g2 = solvable.metric("g1").g, solvable.metric("g2").g
+    npt.assert_allclose(np.linalg.solve(g1, g2), np.diag([1.0, 2.0, 3.0]))
 
 
 def test_phi_invariants_random_pairs(rng):
@@ -126,8 +129,9 @@ def test_phi_invariants_random_pairs(rng):
             data = compute_phi(g1, g2)
             b1, lam = data.b1, data.lambdas
             assert np.all(lam > 0) and np.all(np.diff(lam) >= 0)
+            phi = np.linalg.solve(g1.g, g2.g)
             npt.assert_allclose(
-                data.phi @ b1, b1 * lam[None, :], atol=1e-9 * max(1, lam[-1])
+                phi @ b1, b1 * lam[None, :], atol=1e-9 * max(1, lam[-1])
             )
             npt.assert_allclose(b1.T @ g1.g @ b1, np.eye(dim), atol=1e-9)
             npt.assert_allclose(b1.T @ g2.g @ b1, np.diag(lam), atol=1e-9)
@@ -198,6 +202,21 @@ def test_abelian_lift_is_abelian():
     t = _tangent("abelian3")
     npt.assert_allclose(t.lifted.c, 0.0)
     npt.assert_array_equal(t.lifted_metric.g, np.eye(6))
+
+
+def test_frame_metrics_are_identity_and_diag_lambda(rng):
+    for t in [_tangent(name) for name in CATALOG] + [
+        _random_tangent(name, rng) for name in CATALOG
+    ]:
+        npt.assert_array_equal(t.base_g1.g, np.eye(t.dim))
+        npt.assert_array_equal(t.base_g2.g, np.diag(t.phi_data.lambdas))
+
+
+def test_tiny_eigenvalue_is_rejected():
+    # lambda = 1e-13 is not above EPS_PD, so g2 = diag(lambda) is refused
+    algebra = catalog_algebra("heisenberg").algebra()
+    with pytest.raises(NonPositiveDefinite):
+        build_tangent(algebra, Metric(1e4 * np.eye(3)), Metric(1e-9 * np.eye(3)))
 
 
 def test_lifted_bracket_relations(catalog_problem, rng):
@@ -294,42 +313,51 @@ def test_heisenberg_vertical_vertical_vanishes():
     npt.assert_allclose(out, 0.0, atol=1e-12)
 
 
+def _vertical_vertical(t, x, y):
+    """Complete-block coefficients of the closed form's nabla_{x^v} y^v.
+
+    x and y are coefficient vectors in the eigenbasis; their raw vertical
+    lifts carry the sqrt(lambda) weights of the normalized frame.
+    """
+    n = t.dim
+    u = np.zeros(2 * n)
+    u[:n] = np.asarray(x) * t.phi_data.sqrt_lambdas
+    v = np.zeros(2 * n)
+    v[:n] = np.asarray(y) * t.phi_data.sqrt_lambdas
+    out = lifted_connection_closed_form(t).apply(u, v)
+    npt.assert_array_equal(out[:n], 0.0)
+    return out[n:]
+
+
 def test_vertical_vertical_coefficients_examples():
     t_ab = _tangent("abelian3")
-    npt.assert_allclose(
-        vertical_vertical_coefficients(t_ab, [1.0, 0, 0], [0, 1.0, 0]), 0.0
-    )
+    npt.assert_allclose(_vertical_vertical(t_ab, [1.0, 0, 0], [0, 1.0, 0]), 0.0)
 
     t_h = _tangent("heisenberg")
     ex = np.eye(3)[t_h.base.basis_labels.index("X")]
     ey = np.eye(3)[t_h.base.basis_labels.index("Y")]
-    npt.assert_allclose(vertical_vertical_coefficients(t_h, ex, ey), 0.0, atol=1e-12)
+    npt.assert_allclose(_vertical_vertical(t_h, ex, ey), 0.0, atol=1e-12)
 
     # solvable pair (Z, X): Gamma2 = 0 and c_{ZX}^X = 1 leave -lambda_X/2
     t_s = _tangent("solvable_rr2")
     ez = np.eye(3)[t_s.base.basis_labels.index("Z")]
     ex = np.eye(3)[t_s.base.basis_labels.index("X")]
-    coeffs = vertical_vertical_coefficients(t_s, ez, ex)
+    coeffs = _vertical_vertical(t_s, ez, ex)
     npt.assert_allclose(coeffs, [-0.5, 0.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_vertical_vertical_matches_connection_block(name, rng):
+    # the paper's formula: sum_ij x_i y_j lambda_k (Gamma2_ijk - c_ijk / 2),
+    # with Gamma2 the Levi-Civita connection of g2 = diag(lambda)
     t = _random_tangent(name, rng)
-    conn = lifted_connection_closed_form(t)
-    n = t.dim
+    gamma2 = levi_civita(t.base_mla2()).gamma
     for _ in range(5):
-        x, y = rng.standard_normal((2, n))
-        # raw vertical lifts of eigenbasis vectors x, y
-        u = np.zeros(2 * n)
-        u[:n] = x * t.phi_data.sqrt_lambdas
-        v = np.zeros(2 * n)
-        v[:n] = y * t.phi_data.sqrt_lambdas
-        npt.assert_allclose(
-            conn.apply(u, v)[n:],
-            vertical_vertical_coefficients(t, x, y),
-            atol=1e-9,
+        x, y = rng.standard_normal((2, t.dim))
+        expected = np.einsum(
+            "i,j,ijk,k->k", x, y, gamma2 - 0.5 * t.base.c, t.phi_data.lambdas
         )
+        npt.assert_allclose(_vertical_vertical(t, x, y), expected, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -797,3 +825,37 @@ def test_lifted_pullback_identity(heisenberg):
 def test_lift_automorphism_shape_mismatch():
     with pytest.raises(InvalidDimension):
         lift_automorphism(np.eye(3), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# Accuracy on ill-conditioned pairs against a raw-basis oracle
+# ---------------------------------------------------------------------------
+
+
+def _raw_koszul_in_frame(t):
+    """Koszul connection of blockdiag(g2, g1) in the raw lift basis, mapped
+    into the normalized frame; the raw side solves no eigenproblem."""
+    n = t.dim
+    g = unnormalized_lifted_metric(t)
+    low = np.tensordot(tangent_algebra_unnormalized(t.input_algebra).c, g, axes=(2, 0))
+    kos = 0.5 * (low - low.transpose(2, 0, 1) + low.transpose(1, 2, 0))
+    raw = np.tensordot(kos, np.linalg.inv(g), axes=(2, 0))
+    p = np.zeros((2 * n, 2 * n))  # frame vectors as raw columns
+    p[:n, :n] = t.phi_data.b1 / t.phi_data.sqrt_lambdas[None, :]
+    p[n:, n:] = t.phi_data.b1
+    out = np.tensordot(p, raw, axes=(0, 0))  # i, b, c
+    out = np.tensordot(p, out, axes=(0, 1)).transpose(1, 0, 2)  # i, j, c
+    return np.tensordot(out, np.linalg.inv(p), axes=(2, 1))
+
+
+@pytest.mark.parametrize("spread", [2, 4, 6, 7, 8, 10])
+def test_closed_form_accuracy_on_h7(spread):
+    # the closed form errs against the raw oracle no more than twice as
+    # much as the generic Koszul route on the same frame
+    for seed in range(10):
+        problem = problem_from_dict(h7_doc(seed, spread))
+        t = build_tangent(problem.algebra(), problem.metric("g1"), problem.metric("g2"))
+        ref = _raw_koszul_in_frame(t)
+        closed = np.max(np.abs(lifted_connection_closed_form(t).gamma - ref))
+        koszul = np.max(np.abs(levi_civita(t.lifted_mla()).gamma - ref))
+        assert closed <= 2.0 * koszul, (seed, closed, koszul)
