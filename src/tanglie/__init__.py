@@ -1,94 +1,7 @@
 """Geometry of tangent Lie groups built from two left-invariant metrics."""
 
-from .errors import (
-    DegeneratePlane,
-    ExprError,
-    InvalidDimension,
-    NonPositiveDefinite,
-    NotSymplecticInput,
-    ParseError,
-    PreconditionViolated,
-    SingularMap,
-    TanglieError,
-    UnknownCatalogEntry,
-    ValidationError,
-)
-from .lie_core import (
-    CHECK_TOL,
-    EPS_JACOBI,
-    EPS_PD,
-    EPS_SYM,
-    LieAlgebra,
-    Metric,
-    ad_matrix,
-    ad_star,
-    bracket,
-    center,
-    change_basis_constants,
-    is_automorphism,
-    jacobi_defect,
-    pullback_metric,
-)
-from .metric_geometry import (
-    Connection,
-    CurvatureTensor,
-    EquivarianceDefects,
-    FieldClassification,
-    MetricLieAlgebra,
-    bi_invariance_defect,
-    canonical_metricity_defect,
-    classify_field,
-    compatibility_defect,
-    curvature,
-    curvature_invariant_defects,
-    double_bracket_defect,
-    equivariance_defect,
-    is_bi_invariant,
-    is_geodesic_vector,
-    levi_civita,
-    lie_derivative_metric,
-    random_spd_metric,
-    satisfies_double_bracket_condition,
-    sectional,
-    torsion_defect,
-)
-from .symplectic_lift import (
-    CLOSEDNESS_PATTERNS,
-    TwoForm,
-    cocycle_defect,
-    is_symplectic,
-    lift_symplectic,
-    verify_closedness_identities,
-)
-from .tangent_lift import (
-    LiftBiInvariance,
-    PhiData,
-    TangentLieAlgebra,
-    bi_invariance_of_lift,
-    build_tangent,
-    complete_lift,
-    compute_phi,
-    curvature_block_deviations,
-    lift_automorphism,
-    lift_components,
-    lifted_connection_closed_form,
-    lifted_connection_structure_constants,
-    lifted_curvature,
-    lifted_sectional,
-    lifted_sectional_closed_forms,
-    structure_constant_curvature_blocks,
-    tangent_algebra_unnormalized,
-    unnormalized_lifted_metric,
-    vertical_lift,
-)
-from .cli_io import (
-    CATALOG_NAMES,
-    ProblemFile,
-    catalog_algebra,
-    load_problem,
-    parse_base_expr,
-    parse_lifted_expr,
-    run_command,
-)
+from .lie_core import LieAlgebra, Metric
+from .metric_geometry import levi_civita
+from .tangent_lift import build_tangent, lifted_curvature, lifted_sectional, vertical_lift
 
 __version__ = "0.1.0"

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field
@@ -166,6 +167,7 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
         isinstance(basis, list) and len(basis) == dim, "basis", f"needs {dim} labels"
     )
     basis = tuple(str(b) for b in basis)
+    _require(len(set(basis)) == dim, "basis", "labels must be distinct")
 
     entries: list[tuple[int, int, int, float]] = []
     seen: set[tuple[int, int, int]] = set()
@@ -175,11 +177,23 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
         path = f"brackets[{idx}]"
         _require(isinstance(item, dict), path, "must be an object")
         try:
-            i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
-            v = float(item["value"])
-        except (KeyError, TypeError, ValueError):
+            i, j, k, v = (item[key] for key in ("i", "j", "k", "value"))
+        except KeyError:
             raise ValidationError(f"{path}: needs integer i, j, k and value") from None
-        _require(bool(np.isfinite(v)), path, "value must be finite")
+        # bool is an int subclass, and int() and float() would accept 0.9 and "2"
+        _require(
+            all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (i, j, k)),
+            path,
+            f"i, j and k must be integers, got {i!r}, {j!r}, {k!r}",
+        )
+        _require(
+            isinstance(v, numbers.Real) and not isinstance(v, bool),
+            path,
+            f"value must be a number, got {v!r}",
+        )
+        i, j, k = int(i), int(j), int(k)
+        _require(abs(v) <= sys.float_info.max, path, "value must be finite")
+        v = float(v)
         _require(0 <= i < dim and 0 <= j < dim and 0 <= k < dim, path, "index out of range")
         _require(
             i < j,
@@ -666,7 +680,7 @@ def _lifted_problem_doc(t: tl.TangentLieAlgebra, name: str) -> dict:
         "index_convention": LIFT_INDEX_CONVENTION,
         "lambdas": [float(v) for v in t.phi_data.lambdas],
         "eigenbasis_columns": t.phi_data.b1.tolist(),
-        "lifted_metric_unnormalized": tl.unnormalized_lifted_metric(t).tolist(),
+        "lifted_metric_unnormalized": tl.lift_automorphism(t.input_g1.g, t.input_g2.g).tolist(),
     }
     return doc
 

@@ -240,15 +240,6 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     )
 
 
-def unnormalized_lifted_metric(t: TangentLieAlgebra) -> np.ndarray:
-    """Block matrix of the lifted metric in the raw input-basis lifts.
-
-    Basis order {X_1^v, ..., X_n^v, X_1^c, ..., X_n^c} over the input
-    basis, giving blockdiag(g2, g1) exactly, laid out by :func:`lift_automorphism`.
-    """
-    return lift_automorphism(t.input_g1.g, t.input_g2.g)
-
-
 def tangent_algebra_unnormalized(algebra: LieAlgebra) -> LieAlgebra:
     """Lifted bracket in the raw basis {X_i^v, X_i^c} of the input basis."""
     n = algebra.dim

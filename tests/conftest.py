@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tanglie import catalog_algebra
+from tanglie.cli_io import catalog_algebra
 
 CATALOG = ("abelian2", "abelian3", "aff1", "heisenberg", "solvable_rr2", "su2")
 

@@ -1,5 +1,6 @@
 """Command-line surface: loading, reports, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -12,27 +13,23 @@ import numpy.testing as npt
 import pytest
 
 import tanglie
-from tanglie import (
-    CHECK_TOL,
-    ExprError,
-    ParseError,
-    UnknownCatalogEntry,
-    ValidationError,
-    build_tangent,
+from tanglie.cli_io import (
     catalog_algebra,
-    compute_phi,
-    center,
-    levi_civita,
-    lie_derivative_metric,
     load_problem,
     parse_base_expr,
     parse_lifted_expr,
-    random_spd_metric,
+    problem_from_dict,
     run_command,
-    vertical_lift,
 )
-from tanglie.cli_io import problem_from_dict
-from tanglie.metric_geometry import MetricLieAlgebra
+from tanglie.errors import ExprError, ParseError, UnknownCatalogEntry, ValidationError
+from tanglie.lie_core import CHECK_TOL, center
+from tanglie.metric_geometry import (
+    MetricLieAlgebra,
+    levi_civita,
+    lie_derivative_metric,
+    random_spd_metric,
+)
+from tanglie.tangent_lift import build_tangent, compute_phi, vertical_lift
 
 from conftest import CATALOG, SWEEP_SEED, h7_doc
 
@@ -160,7 +157,7 @@ def test_parse_complete_basis_vector():
 def test_parse_mixed_expression():
     t = _heis_tangent()
     u = parse_lifted_expr(t, "0.5*X^v + Z^c - 2*Y^v")
-    from tanglie import complete_lift, vertical_lift
+    from tanglie.tangent_lift import complete_lift, vertical_lift
 
     expected = (
         0.5 * vertical_lift(t, [1, 0, 0])
@@ -445,6 +442,24 @@ def test_exit_codes(tmp_path, capsys):
         doc["brackets"][0]["value"] = value
         assert run_command(["check", _write(tmp_path, "br.json", doc), "--json"]) == 2
         assert "brackets[0]: value must be finite" in capsys.readouterr().err
+    # indices must be integers and values numbers: no truncation, no bool,
+    # no string; basis labels must be distinct
+    for entry, message in (
+        ({"i": 0.9, "j": 1.7}, "brackets[0]: i, j and k must be integers"),
+        ({"i": True}, "brackets[0]: i, j and k must be integers"),
+        ({"j": "2"}, "brackets[0]: i, j and k must be integers"),
+        ({"value": "1e0"}, "brackets[0]: value must be a number"),
+        ({"value": True}, "brackets[0]: value must be a number"),
+        ({"value": 10**400}, "brackets[0]: value must be finite"),
+    ):
+        doc = _heisenberg_doc()
+        doc["brackets"][0].update(entry)
+        assert run_command(["check", _write(tmp_path, "br.json", doc), "--json"]) == 2
+        assert message in capsys.readouterr().err
+    doc = dict(_heisenberg_doc(), basis=["X", "X", "Z"])
+    dup_basis = _write(tmp_path, "basis.json", doc)
+    assert run_command(["field", dup_basis, "--vector", "X", "--json"]) == 2
+    assert "basis: labels must be distinct" in capsys.readouterr().err
     # degenerate plane is an input error
     assert run_command(["sectional", "heisenberg", "--plane", "X^c,X^c"]) == 2
     capsys.readouterr()
@@ -532,6 +547,16 @@ def test_readme_examples_found():
     assert len(_readme_examples()) >= 9
 
 
+def test_readme_library_block_runs():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert namespace["k"] == 0.125
+
+
 def test_usage_error_is_exit_2(capsys):
     assert run_command(["connection", "heisenberg"]) == 2  # missing --metric
     capsys.readouterr()
@@ -557,6 +582,42 @@ def test_import_does_not_load_scipy():
     proc = _run_python("-c", "import sys, tanglie; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_the_cli():
+    proc = _run_python(
+        "-c",
+        "import sys, tanglie; "
+        "print([m for m in ('tanglie.cli_io', 'argparse') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_cli_io_runs_without_warning():
+    # runpy warns when the package import has already loaded the module it runs
+    proc = _run_python("-m", "tanglie.cli_io", "check", "heisenberg", "--json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_report_digests_tool_covers_every_command(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "tools", "report_digests.py")
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main()
+    lines = [line.split(" ", 2) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 174
+    assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha, _, _ in lines)
+    # odd-dimensional algebras have no symplectic form, and not_auto is no
+    # automorphism: these ten are input errors, every other report passes
+    odd = ("abelian3", "heisenberg", "solvable_rr2", "su2")
+    expected = [f"symplectic {name}" for name in odd] + ["equiv heisenberg --tau not_auto"]
+    expected += [argv + " --json" for argv in expected]
+    failed = sorted((argv, code) for _, code, argv in lines if code != "0")
+    assert failed == sorted((argv, "2") for argv in expected)
 
 
 # ---------------------------------------------------------------------------

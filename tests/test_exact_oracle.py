@@ -20,16 +20,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tanglie import (
-    bracket,
+from tanglie.cli_io import catalog_algebra
+from tanglie.lie_core import bracket
+from tanglie.metric_geometry import sectional_quotient
+from tanglie.tangent_lift import (
     build_tangent,
-    catalog_algebra,
     complete_lift,
     lifted_connection_structure_constants,
     lifted_sectional,
     vertical_lift,
 )
-from tanglie.metric_geometry import sectional_quotient
 
 from conftest import CATALOG
 

@@ -4,15 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tanglie import (
-    InvalidDimension,
+from tanglie.cli_io import catalog_algebra
+from tanglie.errors import InvalidDimension, SingularMap
+from tanglie.lie_core import (
     LieAlgebra,
     Metric,
-    SingularMap,
     ad_matrix,
     ad_star,
     bracket,
-    catalog_algebra,
     center,
     change_basis_constants,
     is_automorphism,
@@ -298,14 +297,14 @@ def test_from_brackets_requires_ordered_indices():
 
 
 def test_metric_rejects_indefinite_matrix():
-    from tanglie import NonPositiveDefinite
+    from tanglie.errors import NonPositiveDefinite
 
     with pytest.raises(NonPositiveDefinite):
         Metric(np.diag([1.0, -1.0, 1.0]))
 
 
 def test_metric_rejects_asymmetric_matrix():
-    from tanglie import NonPositiveDefinite
+    from tanglie.errors import NonPositiveDefinite
 
     bad = np.eye(3)
     bad[0, 1] = 0.5
@@ -315,7 +314,7 @@ def test_metric_rejects_asymmetric_matrix():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_metric_rejects_non_finite_entry(bad):
-    from tanglie import NonPositiveDefinite
+    from tanglie.errors import NonPositiveDefinite
 
     g = np.eye(3)
     g[1, 1] = bad

@@ -4,14 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tanglie import (
-    DegeneratePlane,
-    Metric,
+from tanglie.cli_io import catalog_algebra
+from tanglie.errors import DegeneratePlane, PreconditionViolated
+from tanglie.lie_core import Metric, bracket, pullback_metric
+from tanglie.metric_geometry import (
     MetricLieAlgebra,
-    PreconditionViolated,
-    bracket,
     canonical_metricity_defect,
-    catalog_algebra,
     classify_field,
     compatibility_defect,
     curvature,
@@ -22,7 +20,6 @@ from tanglie import (
     is_geodesic_vector,
     levi_civita,
     lie_derivative_metric,
-    pullback_metric,
     random_spd_metric,
     satisfies_double_bracket_condition,
     sectional,
@@ -221,7 +218,7 @@ def test_classify_field_abelian_always_killing(rng):
 
 
 def test_center_vectors_killing_for_every_metric(catalog_problem, rng):
-    from tanglie import center
+    from tanglie.lie_core import center
 
     algebra = catalog_problem.algebra()
     for v in center(algebra):

@@ -4,21 +4,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tanglie import (
+from tanglie.cli_io import catalog_algebra
+from tanglie.errors import NotSymplecticInput, ValidationError
+from tanglie.lie_core import LieAlgebra, Metric
+from tanglie.metric_geometry import random_spd_metric
+from tanglie.symplectic_lift import (
     CLOSEDNESS_PATTERNS,
-    LieAlgebra,
-    Metric,
-    NotSymplecticInput,
     TwoForm,
-    ValidationError,
-    build_tangent,
-    catalog_algebra,
     cocycle_defect,
     is_symplectic,
     lift_symplectic,
-    random_spd_metric,
     verify_closedness_identities,
 )
+from tanglie.tangent_lift import build_tangent
 from conftest import CATALOG
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -4,27 +4,31 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tanglie import (
-    DegeneratePlane,
-    InvalidDimension,
+from tanglie.cli_io import catalog_algebra, problem_from_dict
+from tanglie.errors import DegeneratePlane, InvalidDimension, NonPositiveDefinite
+from tanglie.lie_core import (
     LieAlgebra,
     Metric,
-    MetricLieAlgebra,
-    NonPositiveDefinite,
-    bi_invariance_of_lift,
     bracket,
-    build_tangent,
-    catalog_algebra,
     center,
-    complete_lift,
-    compute_phi,
-    curvature,
-    curvature_block_deviations,
     is_automorphism,
-    is_geodesic_vector,
     jacobi_defect,
+)
+from tanglie.metric_geometry import (
+    MetricLieAlgebra,
+    curvature,
+    is_geodesic_vector,
     levi_civita,
     lie_derivative_metric,
+    random_spd_metric,
+    sectional,
+)
+from tanglie.tangent_lift import (
+    bi_invariance_of_lift,
+    build_tangent,
+    complete_lift,
+    compute_phi,
+    curvature_block_deviations,
     lift_automorphism,
     lift_components,
     lifted_connection_closed_form,
@@ -32,14 +36,10 @@ from tanglie import (
     lifted_curvature,
     lifted_sectional,
     lifted_sectional_closed_forms,
-    random_spd_metric,
-    sectional,
     structure_constant_curvature_blocks,
     tangent_algebra_unnormalized,
-    unnormalized_lifted_metric,
     vertical_lift,
 )
-from tanglie.cli_io import problem_from_dict
 
 from conftest import CATALOG, h7_doc
 
@@ -262,7 +262,7 @@ def test_unnormalized_metric_blocks(heisenberg):
     expected = np.zeros((6, 6))
     expected[:3, :3] = np.diag([2.0, 2.0, 1.0])
     expected[3:, 3:] = np.eye(3)
-    npt.assert_array_equal(unnormalized_lifted_metric(t), expected)
+    npt.assert_array_equal(lift_automorphism(t.input_g1.g, t.input_g2.g), expected)
 
 
 def test_lifted_jacobi(catalog_problem, rng):
@@ -815,7 +815,7 @@ def test_lifted_pullback_identity(heisenberg):
     tau2 = np.diag([1.0, 5.0, 5.0])
     big = lift_automorphism(tau1, tau2)
     t = _tangent("heisenberg")
-    g_lift = unnormalized_lifted_metric(t)
+    g_lift = lift_automorphism(t.input_g1.g, t.input_g2.g)
     expected = np.zeros((6, 6))
     expected[:3, :3] = tau2.T @ heisenberg.metric("g2").g @ tau2
     expected[3:, 3:] = tau1.T @ heisenberg.metric("g1").g @ tau1
@@ -836,7 +836,7 @@ def _raw_koszul_in_frame(t):
     """Koszul connection of blockdiag(g2, g1) in the raw lift basis, mapped
     into the normalized frame; the raw side solves no eigenproblem."""
     n = t.dim
-    g = unnormalized_lifted_metric(t)
+    g = lift_automorphism(t.input_g1.g, t.input_g2.g)
     low = np.tensordot(tangent_algebra_unnormalized(t.input_algebra).c, g, axes=(2, 0))
     kos = 0.5 * (low - low.transpose(2, 0, 1) + low.transpose(1, 2, 0))
     raw = np.tensordot(kos, np.linalg.inv(g), axes=(2, 0))
