@@ -141,6 +141,9 @@ def _as_matrix(raw, path: str, dim: int) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValidationError(f"{path}: not a numeric matrix") from None
     _require(m.shape == (dim, dim), path, f"shape {m.shape}, expected ({dim}, {dim})")
+    # bool is an int subclass, so numpy reads true and false as 1.0 and 0.0
+    flag = next((x for row in raw for x in row if isinstance(x, bool)), None)
+    _require(flag is None, path, f"entries must be numbers, got {flag!r}")
     _require(bool(np.all(np.isfinite(m))), path, "entries must be finite")
     return m
 

@@ -161,9 +161,7 @@ class Metric:
 
 def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
     """Lie bracket [x, y] of two coefficient vectors."""
-    x = algebra.vector(x)
-    y = algebra.vector(y)
-    return np.einsum("i,j,ijk->k", x, y, algebra.c)
+    return ad_matrix(algebra, x) @ algebra.vector(y)
 
 
 def ad_matrix(algebra: LieAlgebra, x) -> np.ndarray:
@@ -182,8 +180,8 @@ def ad_star(algebra: LieAlgebra, metric: Metric, x) -> np.ndarray:
 
 def jacobi_defect(algebra: LieAlgebra) -> float:
     """Max-abs residual of the Jacobi identity over all index quadruples."""
-    c = algebra.c
-    t = np.einsum("ijm,mkl->ijkl", c, c)
+    c, n = algebra.c, algebra.dim
+    t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape((n,) * 4)  # [[X_i, X_j], X_k]
     resid = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     return float(np.max(np.abs(resid)))
 
@@ -207,6 +205,23 @@ def center(algebra: LieAlgebra, tol: float = 1e-10) -> list[np.ndarray]:
     return basis
 
 
+def _pull_back(t: np.ndarray, *maps: np.ndarray) -> np.ndarray:
+    """Pull the leading slots of t back through one matrix each.
+
+    ``out[i, j, ..] = sum maps[0][p, i] maps[1][q, j] .. t[p, q, ..]``; the
+    slots after ``len(maps)`` are untouched.  Each slot is one matrix
+    product that contracts it and rotates it to the back, so for t of side
+    n and rank r the cost is O(len(maps) n^(r + 1)), where one einsum over
+    all the operands costs O(n^(r + len(maps))).
+    """
+    n, rank = t.shape[0], t.ndim
+    for m in maps:
+        t = (t.reshape(n, -1).T @ m).reshape((n,) * rank)
+    # the untouched slots now lead: rotate them back behind the pulled ones
+    done = len(maps)
+    return t.transpose(*range(rank - done, rank), *range(rank - done))
+
+
 def is_automorphism(algebra: LieAlgebra, tau) -> bool:
     """True iff tau is invertible and commutes with the bracket within CHECK_TOL."""
     tau = np.asarray(tau, dtype=float)
@@ -216,8 +231,8 @@ def is_automorphism(algebra: LieAlgebra, tau) -> bool:
     if np.linalg.matrix_rank(tau) < n:
         return False
     c = algebra.c
-    lhs = np.einsum("ijm,km->ijk", c, tau)  # tau([X_i, X_j])
-    rhs = np.einsum("pi,qj,pqk->ijk", tau, tau, c)  # [tau X_i, tau X_j]
+    lhs = (c.reshape(n * n, n) @ tau.T).reshape(c.shape)  # tau([X_i, X_j])
+    rhs = _pull_back(c, tau, tau)  # [tau X_i, tau X_j]
     return float(np.max(np.abs(lhs - rhs))) <= CHECK_TOL
 
 
@@ -246,6 +261,5 @@ def change_basis_constants(algebra: LieAlgebra, b, labels=None) -> LieAlgebra:
         raise InvalidDimension(f"basis-change shape {b.shape}, algebra dim {n}")
     if np.linalg.matrix_rank(b) < n:
         raise SingularMap("basis change must be invertible")
-    binv = np.linalg.inv(b)
-    d = np.einsum("pi,qj,pqm,km->ijk", b, b, algebra.c, binv)
+    d = _pull_back(algebra.c, b, b, np.linalg.inv(b).T)
     return LieAlgebra.from_tensor(d, labels or algebra.basis_labels)

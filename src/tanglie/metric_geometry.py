@@ -23,6 +23,7 @@ from .lie_core import (
     EPS_PD,
     LieAlgebra,
     Metric,
+    _pull_back,
     ad_matrix,
     is_automorphism,
     pullback_metric,
@@ -115,9 +116,11 @@ def compatibility_defect(mla: MetricLieAlgebra, conn: Connection) -> float:
 
 def curvature(mla: MetricLieAlgebra, conn: Connection) -> CurvatureTensor:
     """Curvature tensor of a torsion-free metric connection."""
-    gamma = conn.gamma
-    t1 = np.einsum("jkm,imh->ijkh", gamma, gamma)
-    t3 = np.einsum("ijm,mkh->ijkh", mla.algebra.c, gamma)
+    gamma, n = conn.gamma, conn.dim
+    # t1[i, j, k, h] = nabla_i nabla_j X_k, as the product (jk, m) x (m, ih)
+    t1 = gamma.reshape(n * n, n) @ gamma.transpose(1, 0, 2).reshape(n, n * n)
+    t1 = t1.reshape((n,) * 4).transpose(2, 0, 1, 3)
+    t3 = (mla.algebra.c.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape((n,) * 4)
     return CurvatureTensor(t1 - t1.transpose(1, 0, 2, 3) - t3)
 
 
@@ -125,8 +128,8 @@ def curvature_invariant_defects(
     mla: MetricLieAlgebra, riem: CurvatureTensor
 ) -> dict[str, float]:
     """Residuals of antisymmetry, first Bianchi, and pair symmetry."""
-    r = riem.r
-    low = np.einsum("ijkm,mh->ijkh", r, mla.metric.g)  # g(R(X_i,X_j)X_k, X_h)
+    r, n = riem.r, riem.dim
+    low = (r.reshape(-1, n) @ mla.metric.g).reshape(r.shape)  # g(R(X_i,X_j)X_k, X_h)
     return {
         "antisymmetry": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
         "first_bianchi": float(
@@ -136,23 +139,58 @@ def curvature_invariant_defects(
     }
 
 
+def _plane_quotients(num, gram, floor):
+    """num / gram, refusing every plane that sectional curvature cannot judge.
+
+    Raises PreconditionViolated when a Gram determinant or a numerator is
+    not finite, and DegeneratePlane when a Gram determinant is not above
+    its floor; a silent zero or NaN would mask user mistakes.
+    """
+    num, gram = np.asarray(num), np.asarray(gram)
+    floor = np.broadcast_to(floor, gram.shape)
+    bad = ~(np.isfinite(gram) & np.isfinite(num))
+    if bad.any():
+        raise PreconditionViolated(
+            f"plane out of floating-point range: Gram determinant {gram[bad][0]:.3e}"
+        )
+    thin = gram <= floor
+    if thin.any():
+        k = np.argmax(thin)
+        raise DegeneratePlane(
+            f"Gram determinant {gram.flat[k]:.3e} not above {floor.flat[k]:.1e}"
+        )
+    with np.errstate(over="ignore"):  # as float division: a finite plane may give inf
+        return num / gram
+
+
 def sectional_quotient(metric: Metric, x, y, rxyy) -> float:
     """g(R(x, y)y, x) over the Gram determinant of (x, y), given R(x, y)y.
 
-    Raises DegeneratePlane when the Gram determinant is not safely
-    positive, and PreconditionViolated when it or g(R(x, y)y, x) is not
-    finite; a silent zero or NaN would mask user mistakes.
+    Raises DegeneratePlane when the Gram determinant is not above EPS_PD,
+    and PreconditionViolated when it or g(R(x, y)y, x) is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gram = metric.inner(x, x) * metric.inner(y, y) - metric.inner(x, y) ** 2
         num = metric.inner(rxyy, x)
-    if not (np.isfinite(gram) and np.isfinite(num)):
-        raise PreconditionViolated(
-            f"plane out of floating-point range: Gram determinant {gram:.3e}"
-        )
-    if gram <= EPS_PD:
-        raise DegeneratePlane(f"Gram determinant {gram:.3e} not above {EPS_PD:.1e}")
-    return num / gram
+    return float(_plane_quotients(num, gram, EPS_PD))
+
+
+def _basis_sectionals(r: np.ndarray, lower: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sectional curvatures of all basis planes (e_i, e_j), i < j, at once.
+
+    g is the Gram matrix of the e_i, and g(R(e_i, e_j) e_k, e_l) is
+    ``r[i, j, k, :] @ lower[:, l]``; the plane's value is
+    g(R(e_i, e_j) e_j, e_i) / (g_ii g_jj - g_ij^2).  A basis plane of a
+    positive-definite metric can only be degenerate through the angle of
+    e_i and e_j, so it is refused when sin^2 of that angle is at most
+    EPS_PD, a floor of EPS_PD g_ii g_jj that ignores the metric's scale.
+    """
+    iu, ju = np.triu_indices(g.shape[0], 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        num = np.sum(r[iu, ju, ju] * lower[:, iu].T, axis=1)
+        gii_gjj = g[iu, iu] * g[ju, ju]
+        gram = gii_gjj - g[iu, ju] ** 2
+    return _plane_quotients(num, gram, EPS_PD * gii_gjj)
 
 
 def sectional(mla: MetricLieAlgebra, riem: CurvatureTensor, x, y) -> float:
@@ -182,9 +220,9 @@ def is_bi_invariant(mla: MetricLieAlgebra) -> bool:
 
 def _lowered_double_bracket(mla: MetricLieAlgebra) -> np.ndarray:
     """t[i, j, k, l] = g([X_k, [X_i, X_j]], X_l)."""
-    c = mla.algebra.c
-    dbl = np.einsum("ijm,kmp->ijkp", c, c)  # [X_k, [X_i, X_j]]
-    return np.einsum("ijkp,pl->ijkl", dbl, mla.metric.g)
+    c, n = mla.algebra.c, mla.dim
+    dbl = c.reshape(n * n, n) @ c.transpose(1, 0, 2).reshape(n, n * n)  # [X_k, [X_i, X_j]]
+    return (dbl.reshape(-1, n) @ mla.metric.g).reshape((n,) * 4)
 
 
 def canonical_metricity_defect(mla: MetricLieAlgebra) -> float:
@@ -310,9 +348,21 @@ def is_geodesic_vector(
 
 @dataclass(frozen=True)
 class EquivarianceDefects:
+    """Naturality residuals, each max|a - b| / max(1, max|a|, max|b|).
+
+    a and b are the two sides compared: the transported Christoffel
+    tensors, the transported curvature tensors, and the sectional
+    curvatures of the basis planes.
+    """
+
     connection_defect: float
     curvature_defect: float
     sectional_defect: float
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    scale = max(1.0, np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return float(np.max(np.abs(a - b), initial=0.0) / scale)
 
 
 def equivariance_defect(
@@ -323,6 +373,7 @@ def equivariance_defect(
     Requires metric' = tau^T metric tau and tau an automorphism; then
     tau(nabla'_X Y) = nabla_{tau X} tau Y and the curvature/sectional
     analogues hold, so all three defects should sit at rounding level.
+    Every transport is a chain of one-slot matrix products, O(n^5) in all.
     """
     tau = np.asarray(tau, dtype=float)
     algebra = mla.algebra
@@ -333,28 +384,28 @@ def equivariance_defect(
     if not is_automorphism(algebra, tau):
         raise PreconditionViolated("map is not an automorphism of the algebra")
 
+    n = algebra.dim
     conn = levi_civita(mla)
     conn_p = levi_civita(mla_pulled)
     riem = curvature(mla, conn)
     riem_p = curvature(mla_pulled, conn_p)
 
     # tau(nabla'_{X_i} X_j) vs nabla_{tau X_i} tau X_j
-    lhs = np.einsum("ijm,km->ijk", conn_p.gamma, tau)
-    rhs = np.einsum("pi,qj,pqk->ijk", tau, tau, conn.gamma)
-    conn_defect = float(np.max(np.abs(lhs - rhs)))
+    lhs = (conn_p.gamma.reshape(-1, n) @ tau.T).reshape((n,) * 3)
+    conn_defect = _relative_gap(lhs, _pull_back(conn.gamma, tau, tau))
 
-    lhs_r = np.einsum("ijkm,hm->ijkh", riem_p.r, tau)
-    rhs_r = np.einsum("pi,qj,sk,pqsh->ijkh", tau, tau, tau, riem.r)
-    curv_defect = float(np.max(np.abs(lhs_r - rhs_r)))
+    # tau(R'(X_i, X_j) X_k) vs R(tau X_i, tau X_j) tau X_k
+    r_tau = _pull_back(riem.r, tau, tau, tau)
+    lhs_r = (riem_p.r.reshape(-1, n) @ tau.T).reshape((n,) * 4)
+    curv_defect = _relative_gap(lhs_r, r_tau)
 
-    sec_defect = 0.0
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = algebra.basis_vector(i), algebra.basis_vector(j)
-            kp = sectional(mla_pulled, riem_p, ei, ej)
-            k = sectional(mla, riem, tau[:, i], tau[:, j])
-            sec_defect = max(sec_defect, abs(kp - k))
+    # the plane (X_i, X_j) under (g', R') vs (tau X_i, tau X_j) under (g, R)
+    g_p = mla_pulled.metric.g
+    g_tau = mla.metric.g @ tau
+    sec_defect = _relative_gap(
+        _basis_sectionals(riem_p.r, g_p, g_p),
+        _basis_sectionals(r_tau, g_tau, tau.T @ g_tau),
+    )
     return EquivarianceDefects(conn_defect, curv_defect, sec_defect)
 
 

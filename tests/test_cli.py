@@ -353,6 +353,30 @@ def test_equiv_rejects_non_automorphism(capsys):
     assert run_command(["equiv", "heisenberg", "--tau", "not_auto"]) == 2
 
 
+def test_equiv_large_automorphism_passes(tmp_path, capsys):
+    # entries in the hundreds: the absolute curvature gap was 8.2e-3 of pure
+    # rounding; each defect is now relative to the tensors it compares
+    a, b, c, d, e, f = (134.366877, 182.85812, 620.421919, 561.308716, 860.691177, -491.122815)
+    g = [[2, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1]]
+    doc = dict(_heisenberg_doc(), metrics={"g1": g, "g2": g})
+    doc["automorphisms"] = {"big": [[a, b, 0], [c, d, 0], [e, f, a * d - b * c]]}
+    code, report = _run_json(["equiv", _write(tmp_path, "big.json", doc), "--tau", "big"], capsys)
+    assert code == 0
+    for defects in report["result"]["defects"].values():
+        assert max(defects.values()) <= 1e-12
+
+
+def test_equiv_small_metric_passes(tmp_path, capsys):
+    # a basis plane of 1e-7 I has Gram determinant 1e-14 but is not degenerate
+    doc = _heisenberg_doc()
+    doc["metrics"]["g1"] = (1e-7 * np.eye(3)).tolist()
+    doc["automorphisms"] = {"dilation": np.diag([2.0, 3.0, 6.0]).tolist()}
+    small = _write(tmp_path, "small.json", doc)
+    assert run_command(["check", small]) == 0
+    assert run_command(["equiv", small, "--tau", "dilation"]) == 0
+    capsys.readouterr()
+
+
 def test_symplectic_command(capsys):
     code, report = _run_json(["symplectic", "aff1"], capsys)
     assert code == 0
@@ -436,6 +460,16 @@ def test_exit_codes(tmp_path, capsys):
     inf_form = _write(tmp_path, "form.json", doc)
     assert run_command(["symplectic", inf_form]) == 2
     assert "symplectic.w1" in capsys.readouterr().err
+    # JSON true and false are not the numbers 1 and 0 in any matrix section
+    for key, name, matrix in (
+        ("metrics", "g1", [[True, 0], [0, True]]),
+        ("symplectic", "w2", [[0, True], [-1, False]]),
+        ("automorphisms", "d", [[1, 0], [0, True]]),
+    ):
+        doc = catalog_algebra("aff1").to_dict()
+        doc.setdefault(key, {})[name] = matrix
+        assert run_command(["check", _write(tmp_path, "bool.json", doc), "--json"]) == 2
+        assert f"{key}.{name}: entries must be numbers, got True" in capsys.readouterr().err
     # a non-finite bracket value is named by its entry
     doc = _heisenberg_doc()
     for value in (float("nan"), float("inf")):
