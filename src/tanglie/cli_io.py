@@ -169,7 +169,15 @@ def problem_from_dict(doc: dict, fallback_name: str = "problem") -> ProblemFile:
     _require(
         isinstance(basis, list) and len(basis) == dim, "basis", f"needs {dim} labels"
     )
-    basis = tuple(str(b) for b in basis)
+    for idx, label in enumerate(basis):
+        # the expression grammar would split any other label, and read a
+        # vector the user did not write
+        _require(
+            isinstance(label, str) and _BASIS_LABEL.fullmatch(label) is not None,
+            f"basis[{idx}]",
+            f"label must match {_BASIS_LABEL.pattern}, got {label!r}",
+        )
+    basis = tuple(basis)
     _require(len(set(basis)) == dim, "basis", "labels must be distinct")
 
     entries: list[tuple[int, int, int, float]] = []
@@ -360,6 +368,8 @@ def resolve_problem(source: str) -> ProblemFile:
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a problem's basis label: a name, or the lift of one as `tanglie lift` writes it
+_BASIS_LABEL = re.compile(rf"{_LABEL.pattern}(?:\^[cv])?")
 
 
 def _scan_terms(s: str, labels: tuple[str, ...], lifted: bool):

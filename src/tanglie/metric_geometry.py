@@ -118,24 +118,35 @@ def curvature(mla: MetricLieAlgebra, conn: Connection) -> CurvatureTensor:
     """Curvature tensor of a torsion-free metric connection."""
     gamma, n = conn.gamma, conn.dim
     # t1[i, j, k, h] = nabla_i nabla_j X_k, as the product (jk, m) x (m, ih)
-    t1 = gamma.reshape(n * n, n) @ gamma.transpose(1, 0, 2).reshape(n, n * n)
-    t1 = t1.reshape((n,) * 4).transpose(2, 0, 1, 3)
-    t3 = (mla.algebra.c.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape((n,) * 4)
-    return CurvatureTensor(t1 - t1.transpose(1, 0, 2, 3) - t3)
+    prod = gamma.reshape(n * n, n) @ gamma.transpose(1, 0, 2).reshape(n, n * n)
+    t1 = prod.reshape((n,) * 4).transpose(2, 0, 1, 3)
+    r = t1 - t1.transpose(1, 0, 2, 3)
+    # nabla_[X_i, X_j] X_k, formed in the buffer t1 no longer needs
+    np.matmul(mla.algebra.c.reshape(n * n, n), gamma.reshape(n, n * n), out=prod)
+    r -= prod.reshape((n,) * 4)
+    return CurvatureTensor(r)
 
 
 def curvature_invariant_defects(
     mla: MetricLieAlgebra, riem: CurvatureTensor
 ) -> dict[str, float]:
-    """Residuals of antisymmetry, first Bianchi, and pair symmetry."""
+    """Residuals of antisymmetry, first Bianchi, and pair symmetry.
+
+    Each residual is formed in one buffer and reduced there, so at most two
+    tensors of R's size live at once; np.max keeps a NaN in R visible.
+    """
     r, n = riem.r, riem.dim
+    buf = r + r.transpose(1, 0, 2, 3)
+    antisymmetry = float(np.max(np.abs(buf, out=buf)))
+    np.add(r, r.transpose(1, 2, 0, 3), out=buf)
+    buf += r.transpose(2, 0, 1, 3)
+    first_bianchi = float(np.max(np.abs(buf, out=buf)))
     low = (r.reshape(-1, n) @ mla.metric.g).reshape(r.shape)  # g(R(X_i,X_j)X_k, X_h)
+    np.subtract(low, low.transpose(2, 3, 0, 1), out=buf)
     return {
-        "antisymmetry": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-        "first_bianchi": float(
-            np.max(np.abs(r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)))
-        ),
-        "pair_symmetry": float(np.max(np.abs(low - low.transpose(2, 3, 0, 1)))),
+        "antisymmetry": antisymmetry,
+        "first_bianchi": first_bianchi,
+        "pair_symmetry": float(np.max(np.abs(buf, out=buf))),
     }
 
 

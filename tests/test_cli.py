@@ -377,6 +377,19 @@ def test_equiv_small_metric_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lift_small_metric_passes_jacobi_guard(tmp_path, capsys):
+    # max|lifted bracket| is 6.2e3 here; the Jacobi rounding of 3.7e-9
+    # is 1e-16 of its square, which the absolute bound 1e-9 rejected
+    doc = catalog_algebra("aff1").to_dict()
+    doc["metrics"] = {
+        "g1": (1e-7 * np.array([[2, 0.7], [0.7, 1]])).tolist(),
+        "g2": [[1, 0.2], [0.2, 3]],
+    }
+    small = _write(tmp_path, "small.json", doc)
+    assert run_command(["connection", small, "--metric", "lift"]) == 0
+    capsys.readouterr()
+
+
 def test_symplectic_command(capsys):
     code, report = _run_json(["symplectic", "aff1"], capsys)
     assert code == 0
@@ -494,6 +507,14 @@ def test_exit_codes(tmp_path, capsys):
     dup_basis = _write(tmp_path, "basis.json", doc)
     assert run_command(["field", dup_basis, "--vector", "X", "--json"]) == 2
     assert "basis: labels must be distinct" in capsys.readouterr().err
+    # a label the expression grammar splits, or no name at all, is refused;
+    # a lift label such as "Y^v" is what `tanglie lift` writes
+    for idx, label in ((2, "X+Y"), (2, "2*X"), (0, ""), (1, "Y^w"), (1, "Y^v^c"), (1, 7)):
+        doc = _heisenberg_doc()
+        doc["basis"][idx] = label
+        bad_label = _write(tmp_path, "label.json", doc)
+        assert run_command(["field", bad_label, "--vector", "X", "--json"]) == 2
+        assert f"basis[{idx}]: label must match" in capsys.readouterr().err
     # degenerate plane is an input error
     assert run_command(["sectional", "heisenberg", "--plane", "X^c,X^c"]) == 2
     capsys.readouterr()
@@ -635,12 +656,16 @@ def test_python_dash_m_cli_io_runs_without_warning():
     assert proc.stderr == ""
 
 
-def test_report_digests_tool_covers_every_command(capsys):
+def _tool(name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(root, "tools", "report_digests.py")
-    spec = importlib.util.spec_from_file_location("report_digests", path)
+    spec = importlib.util.spec_from_file_location(name, os.path.join(root, "tools", f"{name}.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool, root
+
+
+def test_report_digests_tool_covers_every_command(capsys):
+    tool, _ = _tool("report_digests")
     tool.main()
     lines = [line.split(" ", 2) for line in capsys.readouterr().out.splitlines()]
     assert len(lines) == 174
@@ -652,6 +677,41 @@ def test_report_digests_tool_covers_every_command(capsys):
     expected += [argv + " --json" for argv in expected]
     failed = sorted((argv, code) for _, code, argv in lines if code != "0")
     assert failed == sorted((argv, "2") for argv in expected)
+
+
+def test_ab_pairs_counts_wins_by_direction():
+    tool, _ = _tool("ab_pairs")
+
+    def run(ops, p50, failed=0):
+        metrics = {"ops_per_s": {"value": ops}, "latency_p50_ms": {"value": p50}}
+        return {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics}
+
+    runs = {
+        "parent": [run(10.0, 5.0), run(12.0, 4.0), run(11.0, 4.5, failed=1)],
+        "change": [run(11.0, 4.0), run(11.0, 4.5), run(13.0, 4.0, failed=1)],
+    }
+    metrics = [
+        {"name": "ops_per_s", "better": "higher"},
+        {"name": "latency_p50_ms", "better": "lower"},
+    ]
+    out = tool.summarize(runs, metrics)
+    assert out["pairs"] == 3
+    assert out["fail_share"] == {"parent": [0.0, 0.1], "change": [0.0, 0.1]}
+    assert out["ops_per_s"]["change_wins"] == 2
+    assert out["latency_p50_ms"]["change_wins"] == 2
+    assert out["ops_per_s"]["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
+
+
+def test_ladder_times_every_stage(capsys):
+    tool, root = _tool("ladder")
+    assert tool.main([root, "--sizes", "3,5", "--repeat", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out) == ["3", "5"]
+    for row in out.values():
+        assert sorted(row) == ["ms", "peak_mb"]
+        assert sorted(row["ms"]) == sorted(row["peak_mb"])
+        assert "build_tangent" in row["ms"] and "lifted_connection_closed_form" in row["ms"]
+        assert all(v >= 0 for part in row.values() for v in part.values())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ references, and every pairwise result must match its reference within
 algebras of dimension 4 and 6 with non-diagonal automorphisms, the three
 graded algebras of dimension 11 with seeded dilations, and a Heisenberg
 automorphism with entries in the hundreds.
+
+The lift section holds the earlier forms of the lifted closed-form
+connection, the curvature, its invariant residuals and the block
+deviations.  Their rewrites round in the same order, so each must equal
+its reference bit for bit, on the catalog, on seeded pairs at dimension
+4 and 6 and on the three base algebras of dimension 12 of the lift
+benchmark.
 """
 
 import itertools
@@ -14,18 +21,21 @@ import itertools
 import numpy as np
 import pytest
 
+from tanglie import tangent_lift
 from tanglie.cli_io import catalog_algebra
-from tanglie.errors import PreconditionViolated
+from tanglie.errors import PreconditionViolated, ValidationError
 from tanglie.lie_core import (
     LieAlgebra,
     Metric,
     _pull_back,
+    ad_star,
     change_basis_constants,
     is_automorphism,
     jacobi_defect,
     pullback_metric,
 )
 from tanglie.metric_geometry import (
+    CurvatureTensor,
     MetricLieAlgebra,
     _basis_sectionals,
     _lowered_double_bracket,
@@ -35,6 +45,16 @@ from tanglie.metric_geometry import (
     levi_civita,
     random_spd_metric,
     sectional,
+)
+from tanglie.tangent_lift import (
+    _lifted_jacobi_defect,
+    build_tangent,
+    curvature_block_deviations,
+    lifted_connection_closed_form,
+    lifted_connection_structure_constants,
+    lifted_curvature,
+    lifted_sectional,
+    structure_constant_curvature_blocks,
 )
 
 from conftest import CATALOG
@@ -345,3 +365,215 @@ def test_equivariance_still_rejects_at_dim_11(name):
     with pytest.raises(PreconditionViolated, match="automorphism"):
         equivariance_defect(mla, MetricLieAlgebra(algebra, pullback_metric(mla.metric, not_auto)), not_auto)
     assert equivariance_defect(mla, pulled, tau).curvature_defect <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# tangent_lift: rewrites that must round exactly as before
+# ---------------------------------------------------------------------------
+
+
+def ref_closed_form(t):
+    """The closed-form connection with adstar2 stacked from n ad_star calls."""
+    n = t.dim
+    conn1 = levi_civita(t.base_mla1())
+    conn2 = levi_civita(t.base_mla2())
+    sl = t.phi_data.sqrt_lambdas
+    isl = 1.0 / sl
+    c = t.base.c
+    phi_b = np.diag(t.phi_data.lambdas)  # phi = g1^{-1} g2 in the eigenbasis
+    # adstar[j, k, i] = k-component of adstar2(X_j) applied to X_i
+    adstar = np.stack(
+        [ad_star(t.base, t.base_g2, t.base.basis_vector(j)) for j in range(n)]
+    )
+
+    gamma = np.zeros((2 * n, 2 * n, 2 * n))
+    gamma[n:, n:, n:] = conn1.gamma
+    w_cv = conn2.gamma + 0.5 * np.einsum("jki->ijk", adstar)
+    gamma[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, w_cv)
+    w_vc = conn2.gamma + 0.5 * np.einsum("ikj->ijk", adstar)
+    gamma[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, w_vc)
+    w_vv = np.einsum("km,ijm->ijk", phi_b, conn2.gamma - 0.5 * c)
+    gamma[:n, :n, n:] = np.einsum("i,j,ijk->ijk", isl, isl, w_vv)
+    return gamma
+
+
+def ref_full_tensor_curvature(c, gamma):
+    """``curvature`` with t1 - t1^T - t3 formed as one expression."""
+    n = gamma.shape[0]
+    t1 = gamma.reshape(n * n, n) @ gamma.transpose(1, 0, 2).reshape(n, n * n)
+    t1 = t1.reshape((n,) * 4).transpose(2, 0, 1, 3)
+    t3 = (c.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape((n,) * 4)
+    return t1 - t1.transpose(1, 0, 2, 3) - t3
+
+
+def ref_invariant_defects(r, g):
+    """``curvature_invariant_defects`` with every residual a fresh tensor."""
+    n = r.shape[0]
+    low = (r.reshape(-1, n) @ g).reshape(r.shape)  # g(R(X_i,X_j)X_k, X_h)
+    return {
+        "antisymmetry": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
+        "first_bianchi": float(
+            np.max(np.abs(r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)))
+        ),
+        "pair_symmetry": float(np.max(np.abs(low - low.transpose(2, 3, 0, 1)))),
+    }
+
+
+def ref_block_deviations(t, riem):
+    """``curvature_block_deviations`` against the zero-padded output fiber."""
+    n = t.dim
+    sl_of = {"v": slice(0, n), "c": slice(n, 2 * n)}
+    blocks = structure_constant_curvature_blocks(t)
+    out = {}
+    for key, formula in blocks.items():
+        s1, s2, s3 = (sl_of[ch] for ch in key)
+        oracle = riem.r[s1, s2, s3, :]
+        predicted = np.zeros_like(oracle)
+        # vertical lifts are odd and complete lifts even in the grading R
+        # preserves, so an odd number of vertical arguments lands vertical
+        predicted[..., sl_of["v" if key.count("v") % 2 else "c"]] = formula
+        out[key] = float(np.max(np.abs(oracle - predicted)))
+    return out
+
+
+def lifted_bracket(c, lambdas):
+    """The lifted bracket tensor ``build_tangent`` assembles, for any c."""
+    n = c.shape[0]
+    sl = np.sqrt(lambdas)
+    isl = 1.0 / sl
+    b = np.zeros((2 * n, 2 * n, 2 * n))
+    b[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, c)
+    b[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, c)
+    b[n:, n:, n:] = c
+    return LieAlgebra.from_tensor(b).c
+
+
+H3R = tensor(4, [(0, 1, 2, 1.0)])  # h3 + R: [X, Y] = Z, W central
+AFF1 = tensor(2, [(0, 1, 1, 1.0)])  # aff(1): [X, Y] = Y
+LIFT_BASES = {"3(h3+R)": [H3R] * 3, "6aff1": [AFF1] * 6, "2(h3+R)+2aff1": [H3R, H3R, AFF1, AFF1]}
+
+
+def direct_sum(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    c = np.zeros((n, n, n))
+    o = 0
+    for b in blocks:
+        m = b.shape[0]
+        c[o : o + m, o : o + m, o : o + m] = b
+        o += m
+    return c
+
+
+def _lift_tangent(label):
+    kind, _, arg = label.partition(":")
+    if kind == "n12":
+        name, _, seed = arg.partition("#")
+        c = direct_sum(LIFT_BASES[name])
+        if seed == "ill-conditioned":  # lambda over 16 decades
+            g1, g2 = np.eye(12), np.diag(np.logspace(8, -8, 12))
+        else:
+            rng = np.random.default_rng(int(seed))
+            g1, g2 = random_spd_metric(rng, 12).g, random_spd_metric(rng, 12).g
+    else:
+        c, g1, g2, _ = _case(label)
+    return build_tangent(LieAlgebra.from_tensor(c), Metric(g1), Metric(g2))
+
+
+LIFT_CASES = (
+    [f"catalog:{name}" for name in CATALOG]
+    + [f"n4:h3+R#{seed}" for seed in (401, 402, 403)]
+    + [f"n6:free(3,2)#{seed}" for seed in (601, 602, 603)]
+    + [f"n12:{name}#1201" for name in LIFT_BASES]
+    + ["n12:3(h3+R)#ill-conditioned"]
+)
+
+
+@pytest.fixture(params=LIFT_CASES)
+def lift_case(request):
+    return _lift_tangent(request.param)
+
+
+def test_lift_rewrites_equal_their_references(lift_case):
+    t = lift_case
+    gamma = lifted_connection_closed_form(t).gamma
+    assert np.array_equal(gamma, ref_closed_form(t))
+    riem = lifted_curvature(t)
+    assert np.array_equal(riem.r, ref_full_tensor_curvature(t.lifted.c, gamma))
+    mla = t.lifted_mla()
+    assert curvature_invariant_defects(mla, riem) == ref_invariant_defects(riem.r, mla.metric.g)
+    assert curvature_block_deviations(t, riem) == ref_block_deviations(t, riem)
+
+
+def _parity_guard(c, lambdas):
+    n = c.shape[0]
+    b = lifted_bracket(c, lambdas)
+    return b, _lifted_jacobi_defect(c, b[n:, :n, :n], b[:n, n:, :n])
+
+
+def test_parity_guard_matches_full_jacobi_defect(lift_case):
+    t = lift_case
+    b, guard = _parity_guard(t.base.c, t.phi_data.lambdas)
+    assert np.array_equal(b, t.lifted.c)
+    # the sums cancel to zero, so their rounding scales with |b| x |b|
+    scale = np.max(ref_jacobi_product(np.abs(b)))
+    assert abs(guard - jacobi_defect(t.lifted)) <= GATE * scale
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parity_guard_sees_a_broken_bracket(seed):
+    rng = np.random.default_rng(seed)
+    n = 5
+    broken = LieAlgebra.from_tensor(rng.standard_normal((n, n, n)))
+    assert jacobi_defect(broken) > 1e-3
+    lambdas = np.sort(rng.uniform(0.5, 4.0, n))
+    b, guard = _parity_guard(broken.c, lambdas)
+    full = jacobi_defect(LieAlgebra.from_tensor(b))
+    assert full >= jacobi_defect(broken)  # the complete block copies c
+    assert abs(guard - full) <= GATE * np.max(ref_jacobi_product(np.abs(b)))
+    g1, g2 = random_spd_metric(rng, n), random_spd_metric(rng, n)
+    with pytest.raises(ValidationError, match="lifted bracket violates Jacobi: defect"):
+        build_tangent(broken, g1, g2)
+    # a NaN defect fails the bound too
+    c = np.zeros((n, n, n))
+    c[0, 1, 2], c[1, 0, 2] = np.nan, -np.nan
+    with pytest.raises(ValidationError, match="lifted bracket violates Jacobi: defect nan"):
+        build_tangent(LieAlgebra.from_tensor(c), g1, g2)
+
+
+def test_invariant_defects_keep_a_nan():
+    t = _lift_tangent("catalog:heisenberg")
+    r = np.array(lifted_curvature(t).r)
+    r[1, 4, 5, 2] = np.nan  # (V, C, C) -> V, where the formula lands
+    r[0, 1, 3, 2] = np.nan  # (V, V, C) -> V, off the formula's block
+    riem = CurvatureTensor(r)
+    for value in curvature_invariant_defects(t.lifted_mla(), riem).values():
+        assert np.isnan(value)
+    deviations = curvature_block_deviations(t, riem)
+    assert np.isnan(deviations["vcc"]) and np.isnan(deviations["vvc"])
+    assert not np.isnan(deviations["ccc"])
+
+
+def test_connections_are_derived_once_per_tangent():
+    t = _lift_tangent("catalog:solvable_rr2")
+    for derive in (lifted_connection_closed_form, lifted_connection_structure_constants):
+        conn = derive(t)
+        assert derive(t) is conn
+        assert not conn.gamma.flags.writeable
+    other = _lift_tangent("catalog:solvable_rr2")
+    assert lifted_connection_closed_form(other) is not lifted_connection_closed_form(t)
+
+
+def test_curvature_and_planes_share_one_connection(monkeypatch):
+    calls = []
+
+    def counted(mla):
+        calls.append(mla)
+        return levi_civita(mla)
+
+    monkeypatch.setattr(tangent_lift, "levi_civita", counted)
+    t = _lift_tangent("n12:6aff1#1201")
+    rng = np.random.default_rng(1204)
+    lifted_curvature(t)
+    for _ in range(2):
+        lifted_sectional(t, *rng.standard_normal((2, 2 * t.dim)))
+    assert len(calls) == 2  # nabla1 and nabla2 of the base metrics

@@ -1,0 +1,93 @@
+"""Time the lift stages in-process on Heisenberg algebras of growing dimension.
+
+For each n = 2m + 1 in ``--sizes`` the input is h_n ([X_i, Y_i] = Z) with
+two metrics drawn by ``random_spd_metric`` from ``default_rng(n)``.  Each
+stage is timed ``--repeat`` times, each time on a tangent built just
+before, so a connection derived once per tangent is derived again every
+time.  The best time in ms and the peak of memory allocated during one
+more call, in MiB as ``tracemalloc`` counts it, are printed as JSON, one
+object per n.  Only public library functions are timed, so two checkouts
+compare stage by stage.
+
+Usage (from anywhere)::
+
+    python tools/ladder.py ROOT --sizes 11,17,25 --repeat 3
+
+ROOT is the root of the source checkout to measure.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # as bench/run.py
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+
+def heisenberg(n: int) -> np.ndarray:
+    """Structure constants of h_n, n = 2m + 1: [X_i, Y_i] = Z."""
+    m = (n - 1) // 2
+    c = np.zeros((n, n, n))
+    for i in range(m):
+        c[i, m + i, n - 1] = 1.0
+        c[m + i, i, n - 1] = -1.0
+    return c
+
+
+def ladder(sizes, repeat) -> dict:
+    from tanglie import metric_geometry as mg, tangent_lift as tl
+    from tanglie.lie_core import LieAlgebra
+
+    out = {}
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        algebra = LieAlgebra.from_tensor(heisenberg(n))
+        g1, g2 = mg.random_spd_metric(rng, n), mg.random_spd_metric(rng, n)
+        conn = tl.lifted_connection_closed_form(tl.build_tangent(algebra, g1, g2))
+        riem = mg.curvature(tl.build_tangent(algebra, g1, g2).lifted_mla(), conn)
+        stages = {  # each takes a tangent on which nothing is derived yet
+            "build_tangent": lambda t: tl.build_tangent(algebra, g1, g2),
+            "lifted_connection_closed_form": tl.lifted_connection_closed_form,
+            "curvature": lambda t: mg.curvature(t.lifted_mla(), conn),
+            "curvature_invariant_defects": lambda t: mg.curvature_invariant_defects(
+                t.lifted_mla(), riem),
+            "curvature_block_deviations": lambda t: tl.curvature_block_deviations(t, riem),
+        }
+        best = {name: float("inf") for name in stages}
+        for _ in range(repeat):
+            for name, stage in stages.items():
+                t = tl.build_tangent(algebra, g1, g2)
+                begin = time.perf_counter()
+                stage(t)
+                best[name] = min(best[name], (time.perf_counter() - begin) * 1e3)
+        peak = {}
+        for name, stage in stages.items():  # an untimed call, as tracing slows it
+            t = tl.build_tangent(algebra, g1, g2)
+            tracemalloc.start()
+            stage(t)
+            peak[name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+            tracemalloc.stop()
+        out[str(n)] = {"ms": {name: round(ms, 3) for name, ms in best.items()}, "peak_mb": peak}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("root", help="root of the source checkout")
+    p.add_argument("--sizes", default="11,17,25", help="comma-separated odd dimensions")
+    p.add_argument("--repeat", type=int, default=3)
+    args = p.parse_args(sys.argv[1:] if argv is None else argv)
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    sizes = [int(s) for s in args.sizes.split(",")]
+    print(json.dumps(ladder(sizes, args.repeat), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
