@@ -368,15 +368,18 @@ def resolve_problem(source: str) -> ProblemFile:
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# a problem's basis label: a name, or the lift of one as `tanglie lift` writes it
-_BASIS_LABEL = re.compile(rf"{_LABEL.pattern}(?:\^[cv])?")
+# a problem's basis label: a name, or a lift of one as `tanglie lift` writes
+# it, which a lift of a lifted problem suffixes again
+_BASIS_LABEL = re.compile(rf"{_LABEL.pattern}(?:\^[cv])*")
 
 
 def _scan_terms(s: str, labels: tuple[str, ...], lifted: bool):
     """Yield (signed coefficient, basis index, lift kind) triples.
 
     Grammar: term (("+"|"-") term)*; term := [coef "*"] label suffix,
-    where suffix is "^c" or "^v" in lifted mode and empty otherwise.
+    where suffix is "^c" or "^v" in lifted mode and empty otherwise.  A
+    label may carry lift suffixes of its own (a lifted problem's "Z^v"),
+    so in lifted mode only the last suffix is the lift.
     """
     pos = 0
     n = len(s)
@@ -414,23 +417,28 @@ def _scan_terms(s: str, labels: tuple[str, ...], lifted: bool):
                     pos += 1
             else:
                 raise ExprError("expected '*' after coefficient", pos)
-        m = _LABEL.match(s, pos)
+        m = _BASIS_LABEL.match(s, pos)
         if not m:
             raise ExprError("expected a basis label", pos)
-        label = m.group()
-        if label not in labels:
-            raise ExprError(f"unknown basis label {label!r}", m.start())
-        pos = m.end()
+        label, pos = m.group(), m.end()
         kind = None
         if lifted:
-            if pos >= n or s[pos] != "^":
+            # the last suffix is the lift; what precedes it is the label
+            if label[-2:] not in ("^c", "^v"):
+                if pos < n and s[pos] == "^":
+                    raise ExprError("expected 'c' or 'v' after '^'", pos + 1)
                 raise ExprError("expected '^c' or '^v' after label", pos)
-            pos += 1
-            if pos >= n or s[pos] not in "cv":
-                raise ExprError("expected 'c' or 'v' after '^'", pos)
-            kind = s[pos]
-            pos += 1
-        elif pos < n and s[pos] == "^":
+            label, kind = label[:-2], label[-1]
+        elif label not in labels:
+            name = _LABEL.match(label).group()
+            if name in labels:
+                raise ExprError(
+                    "lift suffix not allowed in a base-vector expression",
+                    m.start() + len(name),
+                )
+        if label not in labels:
+            raise ExprError(f"unknown basis label {label!r}", m.start())
+        if not lifted and pos < n and s[pos] == "^":
             raise ExprError("lift suffix not allowed in a base-vector expression", pos)
         yield sign * coef, labels.index(label), kind
         first = False

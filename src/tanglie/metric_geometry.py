@@ -132,8 +132,9 @@ def curvature_invariant_defects(
 ) -> dict[str, float]:
     """Residuals of antisymmetry, first Bianchi, and pair symmetry.
 
-    Each residual is formed in one buffer and reduced there, so at most two
-    tensors of R's size live at once; np.max keeps a NaN in R visible.
+    Each residual is formed in one buffer and reduced there, so besides R
+    at most two tensors of its size live at once; np.max keeps a NaN in R
+    visible.
     """
     r, n = riem.r, riem.dim
     buf = r + r.transpose(1, 0, 2, 3)

@@ -26,8 +26,8 @@ lambda-weighted copies of the base structure constants:
 The lift is Z2-graded: vertical lifts are odd, complete lifts even, and
 [V, V] = 0.  So :func:`build_tangent` checks the Jacobi identity of the
 lifted bracket only on the two cyclic classes the grading leaves,
-(C, C, C) -> C and (C, C, V) -> V, against a bound on the scale of the
-bracket squared.
+(C, C, C) -> C and (C, C, V) -> V, each against a bound on the scale of
+its own products of bracket entries.
 
 Production path: :func:`build_tangent`, then the closed-form connection
 :func:`lifted_connection_closed_form`, from which :func:`lifted_curvature`
@@ -230,11 +230,11 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     b[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, c)  # [X_i^c, X_j^v~]
     b[n:, n:, n:] = c  # complete copy of the base bracket
     lifted = LieAlgebra.from_tensor(b, _lift_labels(base.basis_labels))
-    defect = _lifted_jacobi_defect(c, lifted.c[n:, :n, :n], lifted.c[:n, n:, :n])
-    # every Jacobi term is a product of two bracket entries
-    scale = max(1.0, float(np.max(np.abs(lifted.c))))
-    if not defect <= EPS_JACOBI * scale**2:
-        raise ValidationError(f"lifted bracket violates Jacobi: defect {defect:.3e}")
+    for defect, scale in _lifted_jacobi_defects(
+        c, lifted.c[n:, :n, :n], lifted.c[:n, n:, :n]
+    ):
+        if not defect <= EPS_JACOBI * scale:
+            raise ValidationError(f"lifted bracket violates Jacobi: defect {defect:.3e}")
 
     return TangentLieAlgebra(
         input_algebra=algebra,
@@ -249,15 +249,20 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     )
 
 
-def _lifted_jacobi_defect(c: np.ndarray, b_cv: np.ndarray, b_vc: np.ndarray) -> float:
-    """Max-abs Jacobi residual of the lifted bracket, from its three blocks.
+def _lifted_jacobi_defects(
+    c: np.ndarray, b_cv: np.ndarray, b_vc: np.ndarray
+) -> list[tuple[float, float]]:
+    """(max-abs residual, rounding scale) of each lifted Jacobi sum left.
 
     c, b_cv and b_vc are the [C, C] -> C, [C, V] -> V and [V, C] -> V
     blocks.  Vertical lifts are odd, complete lifts even and [V, V] = 0, so
     a Jacobi sum with two or three vertical arguments vanishes term by
     term, and the sums with one are cyclic rotations of (Ci, Cj, Vk).  The
     two sums left are (C, C, C) -> C and (C, C, V) -> V, each added in the
-    order ``jacobi_defect`` adds the full tensor's.
+    order ``jacobi_defect`` adds the full tensor's.  A sum's scale is
+    max(1, its largest entry of |left| @ |right|) over its own products:
+    the (C, V) blocks grow with sqrt(lambda_max / lambda_min), and a scale
+    shared with them would let a broken c pass in the (C, C, C) sum.
     """
     n = c.shape[0]
     left = np.stack([c, c, b_cv, b_vc]).reshape(4, n * n, n)
@@ -265,11 +270,16 @@ def _lifted_jacobi_defect(c: np.ndarray, b_cv: np.ndarray, b_vc: np.ndarray) -> 
     # ccc[i,j,k] = [[Ci,Cj],Ck], ccv[i,j,k] = [[Ci,Cj],Vk],
     # cvc[j,k,i] = [[Cj,Vk],Ci], vcc[k,i,j] = [[Vk,Ci],Cj]
     ccc, ccv, cvc, vcc = (left @ right).reshape(4, n, n, n, n)
-    resid = np.stack([
+    resid = (
         ccc + ccc.transpose(1, 2, 0, 3) + ccc.transpose(2, 0, 1, 3),
         ccv + vcc.transpose(1, 2, 0, 3) + cvc.transpose(2, 0, 1, 3),
-    ])
-    return float(np.max(np.abs(resid)))
+    )
+    terms = (np.abs(left) @ np.abs(right)).reshape(4, -1).max(axis=1)
+    scales = (terms[0], terms[1:].max())
+    return [
+        (float(np.max(np.abs(r))), max(1.0, float(scale)))
+        for r, scale in zip(resid, scales)
+    ]
 
 
 def tangent_algebra_unnormalized(algebra: LieAlgebra) -> LieAlgebra:

@@ -434,6 +434,26 @@ def test_lift_writes_output_file(tmp_path, capsys):
     assert reloaded.dim == 6
 
 
+def test_lift_reads_its_own_output(tmp_path, capsys):
+    once, twice = str(tmp_path / "once.json"), str(tmp_path / "twice.json")
+    assert run_command(["lift", "heisenberg", "-o", once]) == 0
+    assert run_command(["lift", once, "-o", twice]) == 0
+    capsys.readouterr()
+    labels = load_problem(twice).algebra().basis_labels
+    assert "Z^v^v" in labels and "X^c^c" in labels
+    # expressions name suffixed labels; in a lifted one the last suffix is the lift
+    assert run_command(["field", once, "--vector", "Z^v + 2*X^c", "--json"]) == 0
+    assert run_command(["sectional", once, "--plane", "Z^v^c,X^c^v", "--json"]) == 0
+    capsys.readouterr()
+    for argv, message in (
+        (["field", once, "--vector", "Z^v^c"], "unknown basis label 'Z^v^c'"),
+        (["field", "heisenberg", "--vector", "Z^v"], "lift suffix not allowed"),
+        (["sectional", once, "--plane", "Z^v,X^c^v"], "unknown basis label 'Z'"),
+    ):
+        assert run_command(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(capsys):
     run_command(["curvature", "heisenberg", "--metric", "lift", "--json"])
     first = capsys.readouterr().out
@@ -508,8 +528,8 @@ def test_exit_codes(tmp_path, capsys):
     assert run_command(["field", dup_basis, "--vector", "X", "--json"]) == 2
     assert "basis: labels must be distinct" in capsys.readouterr().err
     # a label the expression grammar splits, or no name at all, is refused;
-    # a lift label such as "Y^v" is what `tanglie lift` writes
-    for idx, label in ((2, "X+Y"), (2, "2*X"), (0, ""), (1, "Y^w"), (1, "Y^v^c"), (1, 7)):
+    # lift labels such as "Y^v" and "Y^v^c" are what `tanglie lift` writes
+    for idx, label in ((2, "X+Y"), (2, "2*X"), (0, ""), (1, "Y^w"), (1, "Y^cv"), (1, 7)):
         doc = _heisenberg_doc()
         doc["basis"][idx] = label
         bad_label = _write(tmp_path, "label.json", doc)
@@ -702,10 +722,13 @@ def test_ab_pairs_counts_wins_by_direction():
     assert out["ops_per_s"]["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
 
 
-def test_ladder_times_every_stage(capsys):
-    tool, root = _tool("ladder")
-    assert tool.main([root, "--sizes", "3,5", "--repeat", "1"]) == 0
-    out = json.loads(capsys.readouterr().out)
+def test_ladder_times_every_stage():
+    # in a process of its own: the tool pins BLAS threads and extends sys.path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tool = os.path.join(root, "tools", "ladder.py")
+    proc = _run_python(tool, root, "--sizes", "3,5", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
     assert sorted(out) == ["3", "5"]
     for row in out.values():
         assert sorted(row) == ["ms", "peak_mb"]

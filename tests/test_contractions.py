@@ -47,7 +47,7 @@ from tanglie.metric_geometry import (
     sectional,
 )
 from tanglie.tangent_lift import (
-    _lifted_jacobi_defect,
+    _lifted_jacobi_defects,
     build_tangent,
     curvature_block_deviations,
     lifted_connection_closed_form,
@@ -507,7 +507,8 @@ def test_lift_rewrites_equal_their_references(lift_case):
 def _parity_guard(c, lambdas):
     n = c.shape[0]
     b = lifted_bracket(c, lambdas)
-    return b, _lifted_jacobi_defect(c, b[n:, :n, :n], b[:n, n:, :n])
+    classes = _lifted_jacobi_defects(c, b[n:, :n, :n], b[:n, n:, :n])
+    return b, max(defect for defect, _ in classes)
 
 
 def test_parity_guard_matches_full_jacobi_defect(lift_case):
@@ -538,6 +539,24 @@ def test_parity_guard_sees_a_broken_bracket(seed):
     c[0, 1, 2], c[1, 0, 2] = np.nan, -np.nan
     with pytest.raises(ValidationError, match="lifted bracket violates Jacobi: defect nan"):
         build_tangent(LieAlgebra.from_tensor(c), g1, g2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parity_guard_scales_each_class_by_its_own_products(seed):
+    # h5 with [X5, X2] = [X3, X4] = X1: under lambda = 1e8 .. 1e-8 the
+    # (C, V) blocks reach 1e8, while the (C, C, C) sum is c's own Jacobi
+    # sum and rounds at the size of |c| x |c|
+    n = 5
+    c = np.zeros((n, n, n))
+    c[4, 1, 0], c[1, 4, 0], c[2, 3, 0], c[3, 2, 0] = 1.0, -1.0, 1.0, -1.0
+    g1, g2 = Metric.identity(n), Metric(np.diag(np.logspace(8, -8, n)))
+    t = build_tangent(LieAlgebra.from_tensor(c), g1, g2)
+    assert np.max(np.abs(t.lifted.c)) > 1e7
+    perturbation = np.random.default_rng(seed).standard_normal((n, n, n))
+    broken = LieAlgebra.from_tensor(c + 1e-3 * (perturbation - perturbation.transpose(1, 0, 2)))
+    assert jacobi_defect(broken) > 1e-3
+    with pytest.raises(ValidationError, match="lifted bracket violates Jacobi"):
+        build_tangent(broken, g1, g2)
 
 
 def test_invariant_defects_keep_a_nan():
