@@ -35,9 +35,11 @@ and :func:`lifted_sectional` work.  The lambda-weighted Christoffel sums
 of the paper are derived in :func:`lifted_connection_structure_constants`;
 the paper's formulas built on them (:func:`structure_constant_curvature_blocks`,
 :func:`curvature_block_deviations`, :func:`lifted_sectional_closed_forms`)
-are kept for checking and for ``--compare``.  A tangent is immutable, so
-each of the two connections is derived once per tangent and every later
-call returns the same object.  Every closed form is checked in the tests
+are kept for checking and for ``--compare``.  Each term of the six
+curvature blocks sums over one index and is formed as one (n^2, n) x
+(n, n^2) matrix product.  A tangent is immutable, so each of the two
+connections is derived once per tangent and every later call returns
+the same object.  Every closed form is checked in the tests
 against the generic Koszul/curvature oracle from
 :mod:`tanglie.metric_geometry` applied to the lifted metric Lie algebra.
 """
@@ -444,12 +446,27 @@ def structure_constant_curvature_blocks(
     and "vcv" expansions are kept in their original form even though two
     of their lambda-ratio prefactors are inconsistent with the bracket
     tables; they exist for deviation reporting, never as a source of
-    truth.
+    truth.  Each term is a sum over one index l, formed as one
+    (n^2, n) x (n, n^2) matrix product; a term that is another with i and
+    j exchanged is read off that product transposed.
     """
     n = t.dim
     c = t.base.c
     sl = t.phi_data.sqrt_lambdas
     isl = 1.0 / sl
+
+    def outer(x, y):  # sum_l x[j,k,l] y[i,l,h] at [i,j,k,h]
+        prod = x.reshape(n * n, n) @ y.transpose(1, 0, 2).reshape(n, n * n)
+        return prod.reshape((n,) * 4).transpose(2, 0, 1, 3)
+
+    def inner(x, y):  # sum_l x[i,j,l] y[l,k,h] at [i,j,k,h]
+        return (x.reshape(n * n, n) @ y.reshape(n, n * n)).reshape((n,) * 4)
+
+    def swap(x):  # exchange i and j
+        return x.transpose(1, 0, 2, 3)
+
+    def skew(x):  # x[i,j,k,h] - x[j,i,k,h]
+        return x - swap(x)
 
     # 2x the Christoffel patterns of the four connection block sums
     gamma2 = 2.0 * lifted_connection_structure_constants(t).gamma
@@ -457,46 +474,25 @@ def structure_constant_curvature_blocks(
     a = gamma2[n:, :n, :n]  # cv -> v
     v = gamma2[:n, n:, :n]  # vc -> v
     w = gamma2[:n, :n, n:]  # vv -> c
-
-    blocks = {}
-    blocks["ccc"] = 0.25 * (
-        np.einsum("jkl,ilh->ijkh", p, p)
-        - np.einsum("ikl,jlh->ijkh", p, p)
-        - 2.0 * np.einsum("ijl,lkh->ijkh", c, p)
-    )
-    blocks["ccv"] = 0.25 * (
-        np.einsum("jkl,ilh->ijkh", a, a)
-        - np.einsum("ikl,jlh->ijkh", a, a)
-        - 2.0 * np.einsum("ijl,lkh->ijkh", c, a)
-    )
     brv = t.lifted.c[:n, n:, :n]  # [Vi, Cj] coefficients
-    blocks["vcc"] = 0.25 * (
-        np.einsum("jkl,ilh->ijkh", p, v)
-        - np.einsum("ikl,jlh->ijkh", v, a)
-        - 2.0 * np.einsum("ijl,lkh->ijkh", brv, v)
-    )
-    # first factor keeps the original r_lk prefactor; the bracket
-    # table would give r_lj
-    g1f = np.einsum("l,k,jkl->jkl", sl, isl, c) - np.einsum(
-        "j,l,klj->jkl", sl, isl, c
-    )
-    blocks["vvc"] = 0.25 * (
-        np.einsum("jkl,ilh->ijkh", g1f, w) - np.einsum("ikl,jlh->ijkh", v, w)
-    )
-    # first factor keeps the original r_lj prefactor; the bracket
-    # table would give r_lk
-    a5 = np.einsum("l,j,jkl->jkl", sl, isl, c) + np.einsum(
-        "k,l,ljk->jkl", sl, isl, c
-    )
-    blocks["vcv"] = 0.25 * (
-        np.einsum("jkl,ilh->ijkh", a5, w)
-        - np.einsum("ikl,jlh->ijkh", w, p)
-        - 2.0 * np.einsum("k,i,ijl,lkh->ijkh", sl, isl, c, w)
-    )
-    blocks["vvv"] = 0.25 * (
-        np.einsum("jkl,ilh->ijkh", w, v) - np.einsum("ikl,jlh->ijkh", w, v)
-    )
-    return blocks
+    # g1f[j,k,l]: first factor of vvc, with the original r_lk prefactor
+    # where the bracket table would give r_lj; a5: first factor of vcv,
+    # with the original r_lj where the table would give r_lk
+    g1f = (sl * isl[:, None]) * c - (sl[:, None, None] * isl) * c.transpose(2, 0, 1)
+    a5 = (sl * isl[:, None, None]) * c + (sl[:, None] * isl) * c.transpose(1, 2, 0)
+    return {
+        "ccc": 0.25 * (skew(outer(p, p)) - 2.0 * inner(c, p)),
+        "ccv": 0.25 * (skew(outer(a, a)) - 2.0 * inner(c, a)),
+        "vcc": 0.25 * (outer(p, v) - swap(outer(v, a)) - 2.0 * inner(brv, v)),
+        "vvc": 0.25 * (outer(g1f, w) - swap(outer(v, w))),
+        # sqrt(lambda_k / lambda_i) c[i,j,l] w[l,k,h], the weights folded into the factors
+        "vcv": 0.25 * (
+            outer(a5, w)
+            - swap(outer(w, p))
+            - 2.0 * inner(isl[:, None, None] * c, sl[:, None] * w)
+        ),
+        "vvv": 0.25 * skew(outer(w, v)),
+    }
 
 
 def curvature_block_deviations(

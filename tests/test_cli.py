@@ -734,6 +734,8 @@ def test_ladder_times_every_stage():
         assert sorted(row) == ["ms", "peak_mb"]
         assert sorted(row["ms"]) == sorted(row["peak_mb"])
         assert "build_tangent" in row["ms"] and "lifted_connection_closed_form" in row["ms"]
+        # the block products apart from the deviation reduction around them
+        assert "curvature_blocks" in row["ms"] and "curvature_block_deviations" in row["ms"]
         assert all(v >= 0 for part in row.values() for v in part.values())
 
 

@@ -13,7 +13,10 @@ connection, the curvature, its invariant residuals and the block
 deviations.  Their rewrites round in the same order, so each must equal
 its reference bit for bit, on the catalog, on seeded pairs at dimension
 4 and 6 and on the three base algebras of dimension 12 of the lift
-benchmark.
+benchmark.  The six curvature blocks are the exception: their matrix
+products sum in another order than the inline einsums of
+``test_tangent_lift``, so both must lie within the rounding bound that
+``block_rounding_bound`` derives.
 """
 
 import itertools
@@ -58,6 +61,7 @@ from tanglie.tangent_lift import (
 )
 
 from conftest import CATALOG
+from test_tangent_lift import _reference_curvature_blocks, block_rounding_bound
 
 GATE = 1e-12
 
@@ -502,6 +506,19 @@ def test_lift_rewrites_equal_their_references(lift_case):
     mla = t.lifted_mla()
     assert curvature_invariant_defects(mla, riem) == ref_invariant_defects(riem.r, mla.metric.g)
     assert curvature_block_deviations(t, riem) == ref_block_deviations(t, riem)
+
+
+def test_curvature_blocks_within_rounding_of_their_references(lift_case):
+    # each side is within gamma * sum|terms| of the exact sum, so the two
+    # differ by at most twice that; the float sum of |terms| is at least
+    # (1 - gamma) times the exact one
+    t = lift_case
+    gamma = float(block_rounding_bound(t.dim))
+    blocks = structure_constant_curvature_blocks(t)
+    sizes = _reference_curvature_blocks(t, magnitude=True)
+    for key, want in _reference_curvature_blocks(t).items():
+        bound = 2.0 * gamma / (1.0 - gamma) * sizes[key]
+        assert np.all(np.abs(blocks[key] - want) <= bound), key
 
 
 def _parity_guard(c, lambdas):

@@ -1,5 +1,7 @@
 """Tangent algebra construction and all lifted closed forms vs the oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -543,8 +545,14 @@ def _reference_patterns(t):
     return {key: np.ascontiguousarray(val) for key, val in patterns.items()}
 
 
-def _reference_curvature_blocks(t):
-    """The six expanded curvature blocks from the inline patterns."""
+def _block_terms(t):
+    """Each of the six expanded curvature blocks as 1/4 times a sum of terms.
+
+    A term is (weight, einsum spec, operands...).  The operands are c,
+    sqrt(lambda), its inverse, the inline patterns (equal to the library's
+    by the pattern pin below) and the printed first factors of vvc and
+    vcv, formed by the same products as the library's.
+    """
     c = t.base.c
     sl = t.phi_data.sqrt_lambdas
     isl = 1.0 / sl
@@ -552,34 +560,78 @@ def _reference_curvature_blocks(t):
     p, a, v, w, brv = (pat[key] for key in ("p", "a", "v", "w", "brv"))
     g1f = np.einsum("l,k,jkl->jkl", sl, isl, c) - np.einsum("j,l,klj->jkl", sl, isl, c)
     a5 = np.einsum("l,j,jkl->jkl", sl, isl, c) + np.einsum("k,l,ljk->jkl", sl, isl, c)
+    jk_il, ik_jl, ij_lk = "jkl,ilh->ijkh", "ikl,jlh->ijkh", "ijl,lkh->ijkh"
     return {
-        "ccc": 0.25 * (
-            np.einsum("jkl,ilh->ijkh", p, p)
-            - np.einsum("ikl,jlh->ijkh", p, p)
-            - 2.0 * np.einsum("ijl,lkh->ijkh", c, p)
-        ),
-        "ccv": 0.25 * (
-            np.einsum("jkl,ilh->ijkh", a, a)
-            - np.einsum("ikl,jlh->ijkh", a, a)
-            - 2.0 * np.einsum("ijl,lkh->ijkh", c, a)
-        ),
-        "vcc": 0.25 * (
-            np.einsum("jkl,ilh->ijkh", p, v)
-            - np.einsum("ikl,jlh->ijkh", v, a)
-            - 2.0 * np.einsum("ijl,lkh->ijkh", brv, v)
-        ),
-        "vvc": 0.25 * (
-            np.einsum("jkl,ilh->ijkh", g1f, w) - np.einsum("ikl,jlh->ijkh", v, w)
-        ),
-        "vcv": 0.25 * (
-            np.einsum("jkl,ilh->ijkh", a5, w)
-            - np.einsum("ikl,jlh->ijkh", w, p)
-            - 2.0 * np.einsum("k,i,ijl,lkh->ijkh", sl, isl, c, w)
-        ),
-        "vvv": 0.25 * (
-            np.einsum("jkl,ilh->ijkh", w, v) - np.einsum("ikl,jlh->ijkh", w, v)
-        ),
+        "ccc": [(1, jk_il, p, p), (-1, ik_jl, p, p), (-2, ij_lk, c, p)],
+        "ccv": [(1, jk_il, a, a), (-1, ik_jl, a, a), (-2, ij_lk, c, a)],
+        "vcc": [(1, jk_il, p, v), (-1, ik_jl, v, a), (-2, ij_lk, brv, v)],
+        "vvc": [(1, jk_il, g1f, w), (-1, ik_jl, v, w)],
+        "vcv": [(1, jk_il, a5, w), (-1, ik_jl, w, p), (-2, "k,i,ijl,lkh->ijkh", sl, isl, c, w)],
+        "vvv": [(1, jk_il, w, v), (-1, ik_jl, w, v)],
     }
+
+
+def _reference_curvature_blocks(t, magnitude=False):
+    """The six blocks as inline einsums, their terms added in the order listed.
+
+    With ``magnitude`` each term is summed by its absolute value instead,
+    which gives the scale of the block's rounding.
+    """
+    out = {}
+    for key, terms in _block_terms(t).items():
+        total = 0.0
+        for weight, spec, *operands in terms:
+            if magnitude:
+                weight, operands = abs(weight), map(np.abs, operands)
+            total = total + weight * np.einsum(spec, *operands)
+        out[key] = 0.25 * total
+    return out
+
+
+def _dyadic(x):
+    """Integers m and one exponent e with x == m / 2**e exactly."""
+    ratios = [value.as_integer_ratio() for value in np.ravel(x).tolist()]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (e - den.bit_length() + 1) for num, den in ratios]
+    return np.array(ints, dtype=object).reshape(np.shape(x)), e
+
+
+def _exact_curvature_blocks(t):
+    """Each block's exact sum and sum of |terms|, 1/4 included, as integers over 2**e.
+
+    Every float is an integer over a power of two, so each operand is
+    carried as integers over one power of two and the sums run in Python
+    integers, where the order of addition is moot.
+    """
+    out = {}
+    for key, terms in _block_terms(t).items():
+        parts = []
+        for weight, spec, *operands in terms:
+            ints, exps = zip(*map(_dyadic, operands))
+            parts.append((weight, sum(exps) + 2, np.einsum(spec, *ints),
+                          np.einsum(spec, *map(np.abs, ints))))
+        e = max(part[1] for part in parts)
+        value = sum(weight * 2 ** (e - pe) * prod for weight, pe, prod, _ in parts)
+        size = sum(abs(weight) * 2 ** (e - pe) * mag for weight, pe, _, mag in parts)
+        out[key] = value, size, e
+    return out
+
+
+def block_rounding_bound(n):
+    """gamma_m = m u / (1 - m u), u = 2^-53, for m = n + 3 roundings per term.
+
+    A term of a block entry is rounded once by its product and at most
+    n - 1 times by the additions of its length-n sum, in any order; the
+    block adds two sums to a third, two more roundings.  The vcv term
+    weighted by sqrt(lambda_k / lambda_i) carries two more products but
+    joins only at the last subtraction.  Scaling by 2 and 1/4 is exact.
+    So every entry is within gamma_{n + 3} times the sum of its terms'
+    absolute values of the exact sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1).
+    """
+    m = n + 3
+    u = Fraction(1, 2**53)
+    return m * u / (1 - m * u)
 
 
 def _reference_sectional_closed_forms(t):
@@ -626,12 +678,23 @@ def test_formula_arrays_equal_inline_reference(rng):
             ("mixed", gamma2[:n, :n, n:]),
         ):
             assert np.array_equal(got, pat[key]), key
-        blocks = structure_constant_curvature_blocks(t)
-        for key, want in _reference_curvature_blocks(t).items():
-            assert np.array_equal(blocks[key], want), key
         forms = lifted_sectional_closed_forms(t)
         for key, want in _reference_sectional_closed_forms(t).items():
             assert np.array_equal(forms[key], want), key
+
+
+def test_curvature_blocks_within_rounding_of_exact_sums(rng):
+    # every entry is within gamma_{n+3} * sum|terms| of its exact value, and
+    # an entry whose terms are all exactly zero is exactly zero
+    for t in _seeded_tangents(rng):
+        bound = block_rounding_bound(t.dim)
+        blocks = structure_constant_curvature_blocks(t)
+        for key, (value, size, e) in _exact_curvature_blocks(t).items():
+            got, ge = _dyadic(blocks[key])
+            # |got / 2^ge - value / 2^e| <= bound * size / 2^e, times 2^(e + ge)
+            err = np.abs(got * 2**e - value * 2**ge)
+            assert np.all(err * bound.denominator <= bound.numerator * size * 2**ge), key
+            assert np.all(got[size == 0] == 0), key
 
 
 def test_ambiguous_blocks_reported_not_asserted():

@@ -57,6 +57,7 @@ def ladder(sizes, repeat) -> dict:
             "curvature": lambda t: mg.curvature(t.lifted_mla(), conn),
             "curvature_invariant_defects": lambda t: mg.curvature_invariant_defects(
                 t.lifted_mla(), riem),
+            "curvature_blocks": tl.structure_constant_curvature_blocks,
             "curvature_block_deviations": lambda t: tl.curvature_block_deviations(t, riem),
         }
         best = {name: float("inf") for name in stages}
