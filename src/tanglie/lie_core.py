@@ -178,12 +178,18 @@ def ad_star(algebra: LieAlgebra, metric: Metric, x) -> np.ndarray:
     return metric.inv() @ adx.T @ metric.g
 
 
+def _jacobi_sum(c: np.ndarray) -> np.ndarray:
+    """J[i, j, k, h]: component h of the cyclic sum over [[X_i, X_j], X_k]."""
+    n = c.shape[0]
+    t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape((n,) * 4)  # [[X_i, X_j], X_k]
+    resid = t + t.transpose(1, 2, 0, 3)
+    resid += t.transpose(2, 0, 1, 3)  # in place: two n^4 arrays at a time
+    return resid
+
+
 def jacobi_defect(algebra: LieAlgebra) -> float:
     """Max-abs residual of the Jacobi identity over all index quadruples."""
-    c, n = algebra.c, algebra.dim
-    t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape((n,) * 4)  # [[X_i, X_j], X_k]
-    resid = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.max(np.abs(resid)))
+    return float(np.max(np.abs(_jacobi_sum(algebra.c))))
 
 
 def center(algebra: LieAlgebra, tol: float = 1e-10) -> list[np.ndarray]:

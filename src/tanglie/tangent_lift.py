@@ -23,11 +23,12 @@ lambda-weighted copies of the base structure constants:
                                     X_k^v/sqrt(lambda_k),
     [complete, complete]          = complete copy of the base bracket.
 
-The lift is Z2-graded: vertical lifts are odd, complete lifts even, and
-[V, V] = 0.  So :func:`build_tangent` checks the Jacobi identity of the
-lifted bracket only on the two cyclic classes the grading leaves,
-(C, C, C) -> C and (C, C, V) -> V, each against a bound on the scale of
-its own products of bracket entries.
+The lift is Z2-graded (vertical odd, complete even, [V, V] = 0), so its
+Jacobi identity leaves two cyclic classes: (C, C, C) -> C, which is c's
+own Jacobi sum J, and (C, C, V) -> V.  The raw sum of (X_i^c, X_j^c, X_k^v)
+is the vertical lift of c's and V_k = X_k^v / sqrt(lambda_k), so the latter
+is sqrt(lambda_h / lambda_k) J[i, j, k, h] at V_h.  The lift is a Lie
+algebra exactly when the base is, and :func:`build_tangent` checks J alone.
 
 Production path: :func:`build_tangent`, then the closed-form connection
 :func:`lifted_connection_closed_form`, from which :func:`lifted_curvature`
@@ -56,6 +57,7 @@ from .lie_core import (
     EPS_JACOBI,
     LieAlgebra,
     Metric,
+    _jacobi_sum,
     bracket,
     change_basis_constants,
 )
@@ -224,17 +226,8 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     )
 
     sl = phi_data.sqrt_lambdas
-    isl = 1.0 / sl
-    c = base.c
-    b = np.zeros((2 * n, 2 * n, 2 * n))
-    # vertical-vertical block stays zero
-    b[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, c)  # [X_i^v~, X_j^c]
-    b[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, c)  # [X_i^c, X_j^v~]
-    b[n:, n:, n:] = c  # complete copy of the base bracket
-    lifted = LieAlgebra.from_tensor(b, _lift_labels(base.basis_labels))
-    for defect, scale in _lifted_jacobi_defects(
-        c, lifted.c[n:, :n, :n], lifted.c[:n, n:, :n]
-    ):
+    lifted = LieAlgebra.from_tensor(_lifted_bracket(base.c, sl), _lift_labels(base.basis_labels))
+    for defect, scale in _lifted_jacobi_defects(base.c, sl):
         if not defect <= EPS_JACOBI * scale:
             raise ValidationError(f"lifted bracket violates Jacobi: defect {defect:.3e}")
 
@@ -251,48 +244,46 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     )
 
 
-def _lifted_jacobi_defects(
-    c: np.ndarray, b_cv: np.ndarray, b_vc: np.ndarray
-) -> list[tuple[float, float]]:
+def _lifted_bracket(c: np.ndarray, sl: np.ndarray) -> np.ndarray:
+    """Lifted bracket tensor in the basis {X_i^v / sl_i, X_i^c}; sl = 1 is the raw basis."""
+    n = c.shape[0]
+    isl = 1.0 / sl
+    b = np.zeros((2 * n, 2 * n, 2 * n))
+    # vertical-vertical block stays zero
+    b[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, c)  # [X_i^v~, X_j^c]
+    b[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, c)  # [X_i^c, X_j^v~]
+    b[n:, n:, n:] = c  # complete copy of the base bracket
+    return b
+
+
+def _lifted_jacobi_defects(c: np.ndarray, sl: np.ndarray) -> list[tuple[float, float]]:
     """(max-abs residual, rounding scale) of each lifted Jacobi sum left.
 
-    c, b_cv and b_vc are the [C, C] -> C, [C, V] -> V and [V, C] -> V
-    blocks.  Vertical lifts are odd, complete lifts even and [V, V] = 0, so
-    a Jacobi sum with two or three vertical arguments vanishes term by
-    term, and the sums with one are cyclic rotations of (Ci, Cj, Vk).  The
-    two sums left are (C, C, C) -> C and (C, C, V) -> V, each added in the
-    order ``jacobi_defect`` adds the full tensor's.  A sum's scale is
-    max(1, its largest entry of |left| @ |right|) over its own products:
-    the (C, V) blocks grow with sqrt(lambda_max / lambda_min), and a scale
-    shared with them would let a broken c pass in the (C, C, C) sum.
+    c is the base bracket, sl = sqrt(lambda).  The sums are (C, C, C) -> C,
+    c's own Jacobi sum J, and (C, C, V) -> V, in which a bracket with a
+    vertical argument weighs c by sqrt(lambda_out / lambda_in).  Along a
+    term those weights telescope to w[k, h] = sqrt(lambda_h / lambda_k), so
+    that sum at (i, j, k; h) is w[k, h] J[i, j, k, h].  A sum's scale is
+    max(1, its largest term) from P = |c| @ |c|: P for (C, C, C), and for
+    (C, C, V), whose vertical argument may take any slot, P[a, b, d, h]
+    sqrt(lambda_h / min(lambda_a, lambda_b, lambda_d)).  A scale shared
+    with those weights would let a broken c pass in the (C, C, C) sum.
     """
     n = c.shape[0]
-    left = np.stack([c, c, b_cv, b_vc]).reshape(4, n * n, n)
-    right = np.stack([c, b_cv, b_vc, b_vc]).reshape(4, n, n * n)
-    # ccc[i,j,k] = [[Ci,Cj],Ck], ccv[i,j,k] = [[Ci,Cj],Vk],
-    # cvc[j,k,i] = [[Cj,Vk],Ci], vcc[k,i,j] = [[Vk,Ci],Cj]
-    ccc, ccv, cvc, vcc = (left @ right).reshape(4, n, n, n, n)
-    resid = (
-        ccc + ccc.transpose(1, 2, 0, 3) + ccc.transpose(2, 0, 1, 3),
-        ccv + vcc.transpose(1, 2, 0, 3) + cvc.transpose(2, 0, 1, 3),
-    )
-    terms = (np.abs(left) @ np.abs(right)).reshape(4, -1).max(axis=1)
-    scales = (terms[0], terms[1:].max())
-    return [
-        (float(np.max(np.abs(r))), max(1.0, float(scale)))
-        for r, scale in zip(resid, scales)
-    ]
+    isl = 1.0 / sl
+    jac = np.abs(_jacobi_sum(c)).reshape(n * n, n, n).max(axis=0)  # max over (i, j)
+    mag = (np.abs(c).reshape(n * n, n) @ np.abs(c).reshape(n, n * n)).reshape(n**3, n)
+    worst = np.maximum.outer(np.maximum.outer(isl, isl), isl).reshape(n**3, 1)
+    ccc = (jac.max(), mag.max())
+    ccv = ((jac * isl[:, None] * sl).max(), ((mag * worst).max(axis=0) * sl).max())
+    return [(float(defect), max(1.0, float(scale))) for defect, scale in (ccc, ccv)]
 
 
 def tangent_algebra_unnormalized(algebra: LieAlgebra) -> LieAlgebra:
     """Lifted bracket in the raw basis {X_i^v, X_i^c} of the input basis."""
-    n = algebra.dim
-    c = algebra.c
-    b = np.zeros((2 * n, 2 * n, 2 * n))
-    b[:n, n:, :n] = c
-    b[n:, :n, :n] = c
-    b[n:, n:, n:] = c
-    return LieAlgebra.from_tensor(b, _lift_labels(algebra.basis_labels))
+    return LieAlgebra.from_tensor(
+        _lifted_bracket(algebra.c, np.ones(algebra.dim)), _lift_labels(algebra.basis_labels)
+    )
 
 
 # ---------------------------------------------------------------------------

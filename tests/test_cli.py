@@ -723,10 +723,18 @@ def test_ab_pairs_counts_wins_by_direction():
 
 
 def test_ladder_times_every_stage():
-    # in a process of its own: the tool pins BLAS threads and extends sys.path
+    # in a process of its own: the tool pins BLAS threads and extends sys.path.
+    # A budget that fits the (2n)^4 tensor of n = 3 and not that of n = 5
+    # makes n = 5 skip the curvature stages.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     tool = os.path.join(root, "tools", "ladder.py")
-    proc = _run_python(tool, root, "--sizes", "3,5", "--repeat", "1")
+    run = (
+        "import importlib.util, sys; "
+        "spec = importlib.util.spec_from_file_location('ladder', sys.argv[1]); "
+        "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool); "
+        "tool.TENSOR_BUDGET = 8 * 6**4; sys.exit(tool.main(sys.argv[2:]))"
+    )
+    proc = _run_python("-c", run, tool, root, "--sizes", "3,5", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert sorted(out) == ["3", "5"]
@@ -736,7 +744,11 @@ def test_ladder_times_every_stage():
         assert "build_tangent" in row["ms"] and "lifted_connection_closed_form" in row["ms"]
         # the block products apart from the deviation reduction around them
         assert "curvature_blocks" in row["ms"] and "curvature_block_deviations" in row["ms"]
-        assert all(v >= 0 for part in row.values() for v in part.values())
+    assert all(v >= 0 for part in out["3"].values() for v in part.values())
+    for part in out["5"].values():
+        skipped = [name for name, v in part.items() if v is None]
+        assert skipped == [name for name in part if name.startswith("curvature")]
+        assert part["build_tangent"] >= 0 and part["lifted_connection_closed_form"] >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,14 @@ its reference bit for bit, on the catalog, on seeded pairs at dimension
 benchmark.  The six curvature blocks are the exception: their matrix
 products sum in another order than the inline einsums of
 ``test_tangent_lift``, so both must lie within the rounding bound that
-``block_rounding_bound`` derives.
+``block_rounding_bound`` derives.  So do the lifted Jacobi guard, which
+weighs c's own Jacobi sum, and its reference, which multiplies the (C, V)
+blocks of the lift; ``guard_rounding_bound`` derives their bound.
 """
 
 import itertools
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,8 +32,10 @@ from tanglie import tangent_lift
 from tanglie.cli_io import catalog_algebra
 from tanglie.errors import PreconditionViolated, ValidationError
 from tanglie.lie_core import (
+    EPS_JACOBI,
     LieAlgebra,
     Metric,
+    _jacobi_sum,
     _pull_back,
     ad_star,
     change_basis_constants,
@@ -52,12 +58,14 @@ from tanglie.metric_geometry import (
 from tanglie.tangent_lift import (
     _lifted_jacobi_defects,
     build_tangent,
+    compute_phi,
     curvature_block_deviations,
     lifted_connection_closed_form,
     lifted_connection_structure_constants,
     lifted_curvature,
     lifted_sectional,
     structure_constant_curvature_blocks,
+    tangent_algebra_unnormalized,
 )
 
 from conftest import CATALOG
@@ -452,6 +460,58 @@ def lifted_bracket(c, lambdas):
     return LieAlgebra.from_tensor(b).c
 
 
+def ref_unnormalized_lift(c):
+    """``tangent_algebra_unnormalized`` with the raw blocks copied in."""
+    n = c.shape[0]
+    b = np.zeros((2 * n, 2 * n, 2 * n))
+    b[:n, n:, :n] = c
+    b[n:, :n, :n] = c
+    b[n:, n:, n:] = c
+    return LieAlgebra.from_tensor(b).c
+
+
+def ref_lifted_jacobi_defects(
+    c: np.ndarray, b_cv: np.ndarray, b_vc: np.ndarray
+) -> list[tuple[float, float]]:
+    """(max-abs residual, rounding scale) of each lifted Jacobi sum left.
+
+    c, b_cv and b_vc are the [C, C] -> C, [C, V] -> V and [V, C] -> V
+    blocks.  Vertical lifts are odd, complete lifts even and [V, V] = 0, so
+    a Jacobi sum with two or three vertical arguments vanishes term by
+    term, and the sums with one are cyclic rotations of (Ci, Cj, Vk).  The
+    two sums left are (C, C, C) -> C and (C, C, V) -> V, each added in the
+    order ``jacobi_defect`` adds the full tensor's.  A sum's scale is
+    max(1, its largest entry of |left| @ |right|) over its own products:
+    the (C, V) blocks grow with sqrt(lambda_max / lambda_min), and a scale
+    shared with them would let a broken c pass in the (C, C, C) sum.
+    """
+    n = c.shape[0]
+    left = np.stack([c, c, b_cv, b_vc]).reshape(4, n * n, n)
+    right = np.stack([c, b_cv, b_vc, b_vc]).reshape(4, n, n * n)
+    # ccc[i,j,k] = [[Ci,Cj],Ck], ccv[i,j,k] = [[Ci,Cj],Vk],
+    # cvc[j,k,i] = [[Cj,Vk],Ci], vcc[k,i,j] = [[Vk,Ci],Cj]
+    ccc, ccv, cvc, vcc = (left @ right).reshape(4, n, n, n, n)
+    resid = (
+        ccc + ccc.transpose(1, 2, 0, 3) + ccc.transpose(2, 0, 1, 3),
+        ccv + vcc.transpose(1, 2, 0, 3) + cvc.transpose(2, 0, 1, 3),
+    )
+    terms = (np.abs(left) @ np.abs(right)).reshape(4, -1).max(axis=1)
+    scales = (terms[0], terms[1:].max())
+    return [
+        (float(np.max(np.abs(r))), max(1.0, float(scale)))
+        for r, scale in zip(resid, scales)
+    ]
+
+
+def ref_ccv_terms(c, b_cv, b_vc):
+    """The three terms of the (C, C, V) -> V Jacobi sum at (i, j, k; h)."""
+    return (
+        np.einsum("ijm,mkh->ijkh", c, b_cv),  # [[Ci, Cj], Vk]
+        np.einsum("kim,mjh->ijkh", b_vc, b_vc),  # [[Vk, Ci], Cj]
+        np.einsum("jkm,mih->ijkh", b_cv, b_vc),  # [[Cj, Vk], Ci]
+    )
+
+
 H3R = tensor(4, [(0, 1, 2, 1.0)])  # h3 + R: [X, Y] = Z, W central
 AFF1 = tensor(2, [(0, 1, 1, 1.0)])  # aff(1): [X, Y] = Y
 LIFT_BASES = {"3(h3+R)": [H3R] * 3, "6aff1": [AFF1] * 6, "2(h3+R)+2aff1": [H3R, H3R, AFF1, AFF1]}
@@ -503,6 +563,8 @@ def test_lift_rewrites_equal_their_references(lift_case):
     assert np.array_equal(gamma, ref_closed_form(t))
     riem = lifted_curvature(t)
     assert np.array_equal(riem.r, ref_full_tensor_curvature(t.lifted.c, gamma))
+    raw = tangent_algebra_unnormalized(t.input_algebra).c
+    assert np.array_equal(raw, ref_unnormalized_lift(t.input_algebra.c))
     mla = t.lifted_mla()
     assert curvature_invariant_defects(mla, riem) == ref_invariant_defects(riem.r, mla.metric.g)
     assert curvature_block_deviations(t, riem) == ref_block_deviations(t, riem)
@@ -522,9 +584,8 @@ def test_curvature_blocks_within_rounding_of_their_references(lift_case):
 
 
 def _parity_guard(c, lambdas):
-    n = c.shape[0]
     b = lifted_bracket(c, lambdas)
-    classes = _lifted_jacobi_defects(c, b[n:, :n, :n], b[:n, n:, :n])
+    classes = _lifted_jacobi_defects(c, np.sqrt(lambdas))
     return b, max(defect for defect, _ in classes)
 
 
@@ -537,13 +598,19 @@ def test_parity_guard_matches_full_jacobi_defect(lift_case):
     assert abs(guard - jacobi_defect(t.lifted)) <= GATE * scale
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_parity_guard_sees_a_broken_bracket(seed):
+def _broken_bracket(seed):
     rng = np.random.default_rng(seed)
     n = 5
     broken = LieAlgebra.from_tensor(rng.standard_normal((n, n, n)))
-    assert jacobi_defect(broken) > 1e-3
     lambdas = np.sort(rng.uniform(0.5, 4.0, n))
+    return rng, broken, lambdas
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parity_guard_sees_a_broken_bracket(seed):
+    rng, broken, lambdas = _broken_bracket(seed)
+    n = broken.dim
+    assert jacobi_defect(broken) > 1e-3
     b, guard = _parity_guard(broken.c, lambdas)
     full = jacobi_defect(LieAlgebra.from_tensor(b))
     assert full >= jacobi_defect(broken)  # the complete block copies c
@@ -552,28 +619,178 @@ def test_parity_guard_sees_a_broken_bracket(seed):
     with pytest.raises(ValidationError, match="lifted bracket violates Jacobi: defect"):
         build_tangent(broken, g1, g2)
     # a NaN defect fails the bound too
-    c = np.zeros((n, n, n))
-    c[0, 1, 2], c[1, 0, 2] = np.nan, -np.nan
     with pytest.raises(ValidationError, match="lifted bracket violates Jacobi: defect nan"):
-        build_tangent(LieAlgebra.from_tensor(c), g1, g2)
+        build_tangent(_nan_bracket(), g1, g2)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_parity_guard_scales_each_class_by_its_own_products(seed):
-    # h5 with [X5, X2] = [X3, X4] = X1: under lambda = 1e8 .. 1e-8 the
-    # (C, V) blocks reach 1e8, while the (C, C, C) sum is c's own Jacobi
-    # sum and rounds at the size of |c| x |c|
+def _nan_bracket():
+    c = np.zeros((5, 5, 5))
+    c[0, 1, 2], c[1, 0, 2] = np.nan, -np.nan
+    return LieAlgebra.from_tensor(c)
+
+
+def _h5_spread(seed):
+    """h5 with [X5, X2] = [X3, X4] = X1, lambda = 1e8 .. 1e-8, and c broken by 1e-3."""
     n = 5
     c = np.zeros((n, n, n))
     c[4, 1, 0], c[1, 4, 0], c[2, 3, 0], c[3, 2, 0] = 1.0, -1.0, 1.0, -1.0
     g1, g2 = Metric.identity(n), Metric(np.diag(np.logspace(8, -8, n)))
-    t = build_tangent(LieAlgebra.from_tensor(c), g1, g2)
-    assert np.max(np.abs(t.lifted.c)) > 1e7
     perturbation = np.random.default_rng(seed).standard_normal((n, n, n))
     broken = LieAlgebra.from_tensor(c + 1e-3 * (perturbation - perturbation.transpose(1, 0, 2)))
+    return LieAlgebra.from_tensor(c), broken, g1, g2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parity_guard_scales_each_class_by_its_own_products(seed):
+    # under lambda = 1e8 .. 1e-8 the (C, V) blocks reach 1e8, while the
+    # (C, C, C) sum is c's own Jacobi sum and rounds at the size of |c| x |c|
+    algebra, broken, g1, g2 = _h5_spread(seed)
+    t = build_tangent(algebra, g1, g2)
+    assert np.max(np.abs(t.lifted.c)) > 1e7
     assert jacobi_defect(broken) > 1e-3
     with pytest.raises(ValidationError, match="lifted bracket violates Jacobi"):
         build_tangent(broken, g1, g2)
+
+
+def guard_rounding_bound(n):
+    """gamma_m = m u / (1 - m u), u = 2^-53, for m = n + 14 roundings per term.
+
+    A term of a lifted Jacobi sum is a product of two bracket entries.  The
+    reference weighs a (C, V) entry by sqrt(lambda_k) / sqrt(lambda_i):
+    two square roots, a division, the einsum's two products and the halved
+    difference of ``LieAlgebra`` are six roundings per entry, so a product
+    of two carries 13.  Its length-n sum adds n - 1 and the cyclic sum two
+    more.  The guard rounds J's terms n + 2 times and their weight
+    sqrt(lambda_h) / sqrt(lambda_k) five times.  Its scale P x weight rounds
+    n + 5 times per term, the reference's at most n + 13.  So each residual
+    entry of either side is within gamma_{n + 14} times the sum of its
+    three terms' absolute values of the exact sum, and each raw scale within
+    gamma_{n + 14} of the exact largest term (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    """
+    m = n + 14
+    u = Fraction(1, 2**53)
+    return m * u / (1 - m * u)
+
+
+def _guard_verdicts(c, lambdas):
+    """Each class's verdict, after checking it and its (defect, scale) against the reference.
+
+    With s* the exact largest term of a sum and gamma the bound above, each
+    term of the sum is at most s*, and each scale is at least (1 - gamma) s*.
+    The residuals of the two sides then differ entrywise by at most
+    2 gamma 3 s*, so the defects by 6 gamma / (1 - gamma) times the
+    reference scale, and the scales by 2 gamma / (1 - gamma) times it:
+    max(1, .) narrows a gap.  A verdict can differ only for a reference
+    defect that close to EPS_JACOBI times its scale, and no input here is.
+    """
+    n = c.shape[0]
+    b = lifted_bracket(c, lambdas)
+    got = _lifted_jacobi_defects(c, np.sqrt(lambdas))
+    want = ref_lifted_jacobi_defects(c, b[n:, :n, :n], b[:n, n:, :n])
+    gamma = float(guard_rounding_bound(n))
+    verdicts = []
+    for (defect, scale), (ref_defect, ref_scale) in zip(got, want):
+        assert abs(scale - ref_scale) <= 2.0 * gamma / (1.0 - gamma) * ref_scale
+        verdict = defect <= EPS_JACOBI * scale
+        if np.isnan(ref_defect):
+            assert np.isnan(defect) and not verdict
+        else:
+            assert abs(defect - ref_defect) <= 6.0 * gamma / (1.0 - gamma) * ref_scale
+            margin = (6.0 + 2.0 * EPS_JACOBI) * gamma / (1.0 - gamma) * ref_scale
+            assert abs(ref_defect - EPS_JACOBI * ref_scale) > margin
+            assert verdict == (ref_defect <= EPS_JACOBI * ref_scale)
+        verdicts.append(verdict)
+    return verdicts
+
+
+def _guard_input(label):
+    """(c, lambdas) exactly as ``build_tangent`` hands them to the guard."""
+    kind, _, arg = label.partition(":")
+    if kind == "lift":
+        t = _lift_tangent(arg)
+        return t.base.c, t.phi_data.lambdas
+    if kind == "broken":
+        _, broken, lambdas = _broken_bracket(int(arg))
+        return broken.c, lambdas
+    if kind == "nan":
+        return _nan_bracket().c, np.sort(np.random.default_rng(1).uniform(0.5, 4.0, 5))
+    _, broken, g1, g2 = _h5_spread(int(arg))  # h5
+    data = compute_phi(g1, g2)
+    return change_basis_constants(broken, data.b1).c, data.lambdas
+
+
+GUARD_INPUTS = (
+    [f"lift:{label}" for label in LIFT_CASES]
+    + [f"broken:{seed}" for seed in (1, 2, 3)]
+    + [f"h5:{seed}" for seed in (0, 1, 2)]
+    + ["nan"]
+)
+
+
+@pytest.mark.parametrize("label", GUARD_INPUTS)
+def test_lifted_jacobi_guard_matches_its_reference(label):
+    verdicts = _guard_verdicts(*_guard_input(label))
+    # every lift case passes; every broken bracket fails in some class
+    assert all(verdicts) == label.startswith("lift:")
+
+
+def _rotated_heisenberg(n, rng):
+    m = (n - 1) // 2
+    c = tensor(n, [(i, m + i, n - 1, 1.0) for i in range(m)])
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return change_basis_constants(LieAlgebra.from_tensor(c), q).c
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("n", [5, 7])
+def test_lifted_jacobi_guard_verdicts_sweep(n, spread):
+    rng = np.random.default_rng(1000 * n + int(np.log10(spread)))
+    c = _rotated_heisenberg(n, rng)
+    lambdas = np.logspace(0, np.log10(spread), n)[rng.permutation(n)]
+    verdicts = []
+    for eps in np.logspace(-14, -3, 12):
+        perturbation = rng.standard_normal((n, n, n))
+        broken = LieAlgebra.from_tensor(c + eps * (perturbation - perturbation.transpose(1, 0, 2)))
+        verdicts += _guard_verdicts(broken.c, lambdas)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("label", GUARD_INPUTS[:-1])
+def test_ccv_sum_is_weighted_jacobi_sum(label):
+    # [[Ci, Cj], Vk] + cyclic is w[k, h] J[i, j, k, h], w = sqrt(lambda_h / lambda_k):
+    # each side is within gamma_{n + 14} times the exact sum of |terms|, and
+    # the float sum of |terms| is at least (1 - gamma) times the exact one
+    c, lambdas = _guard_input(label)
+    n = c.shape[0]
+    b = lifted_bracket(c, lambdas)
+    b_cv, b_vc = b[n:, :n, :n], b[:n, n:, :n]
+    ccv = sum(ref_ccv_terms(c, b_cv, b_vc))
+    size = sum(ref_ccv_terms(np.abs(c), np.abs(b_cv), np.abs(b_vc)))
+    sl = np.sqrt(lambdas)
+    weighted = _jacobi_sum(c) * (sl / sl[:, None])
+    gamma = float(guard_rounding_bound(n))
+    assert np.all(np.abs(ccv - weighted) <= 2.0 * gamma / (1.0 - gamma) * size)
+
+
+def test_build_tangent_peak_memory():
+    # the guard holds two n^4 arrays at a time: the product and the Jacobi
+    # sum J, then J and |J|, then P and P * worst.  Beside them live the
+    # lifted (2n)^3 bracket and n^3 arrays (c, base c, |c| twice, worst)
+    # that stay under one more (2n)^3 = 8 n^3.  The (C, V) block products
+    # the guard replaced held 34 MB here.
+    n = 25
+    rng = np.random.default_rng(n)
+    m = (n - 1) // 2
+    algebra = LieAlgebra.from_tensor(tensor(n, [(i, m + i, n - 1, 1.0) for i in range(m)]))
+    g1, g2 = random_spd_metric(rng, n), random_spd_metric(rng, n)
+    tracemalloc.start()
+    try:
+        build_tangent(algebra, g1, g2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n**4 + 2 * (2 * n) ** 3)
 
 
 def test_invariant_defects_keep_a_nan():

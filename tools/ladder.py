@@ -7,7 +7,9 @@ before, so a connection derived once per tangent is derived again every
 time.  The best time in ms and the peak of memory allocated during one
 more call, in MiB as ``tracemalloc`` counts it, are printed as JSON, one
 object per n.  Only public library functions are timed, so two checkouts
-compare stage by stage.
+compare stage by stage.  The stages past the connection work on the
+curvature, a (2n)^4 tensor; where that tensor would take more than
+``TENSOR_BUDGET`` bytes they are skipped and printed as null.
 
 Usage (from anywhere)::
 
@@ -29,6 +31,16 @@ import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+TENSOR_BUDGET = 2**30  # bytes of one (2n)^4 float64 tensor: n = 51 fits, n = 71 does not
+STAGES = (
+    "build_tangent",
+    "lifted_connection_closed_form",
+    "curvature",
+    "curvature_invariant_defects",
+    "curvature_blocks",
+    "curvature_block_deviations",
+)
+
 
 def heisenberg(n: int) -> np.ndarray:
     """Structure constants of h_n, n = 2m + 1: [X_i, Y_i] = Z."""
@@ -49,17 +61,20 @@ def ladder(sizes, repeat) -> dict:
         rng = np.random.default_rng(n)
         algebra = LieAlgebra.from_tensor(heisenberg(n))
         g1, g2 = mg.random_spd_metric(rng, n), mg.random_spd_metric(rng, n)
-        conn = tl.lifted_connection_closed_form(tl.build_tangent(algebra, g1, g2))
-        riem = mg.curvature(tl.build_tangent(algebra, g1, g2).lifted_mla(), conn)
         stages = {  # each takes a tangent on which nothing is derived yet
             "build_tangent": lambda t: tl.build_tangent(algebra, g1, g2),
             "lifted_connection_closed_form": tl.lifted_connection_closed_form,
-            "curvature": lambda t: mg.curvature(t.lifted_mla(), conn),
-            "curvature_invariant_defects": lambda t: mg.curvature_invariant_defects(
-                t.lifted_mla(), riem),
-            "curvature_blocks": tl.structure_constant_curvature_blocks,
-            "curvature_block_deviations": lambda t: tl.curvature_block_deviations(t, riem),
         }
+        if 8 * (2 * n) ** 4 <= TENSOR_BUDGET:
+            conn = tl.lifted_connection_closed_form(tl.build_tangent(algebra, g1, g2))
+            riem = mg.curvature(tl.build_tangent(algebra, g1, g2).lifted_mla(), conn)
+            stages.update({
+                "curvature": lambda t: mg.curvature(t.lifted_mla(), conn),
+                "curvature_invariant_defects": lambda t: mg.curvature_invariant_defects(
+                    t.lifted_mla(), riem),
+                "curvature_blocks": tl.structure_constant_curvature_blocks,
+                "curvature_block_deviations": lambda t: tl.curvature_block_deviations(t, riem),
+            })
         best = {name: float("inf") for name in stages}
         for _ in range(repeat):
             for name, stage in stages.items():
@@ -74,7 +89,10 @@ def ladder(sizes, repeat) -> dict:
             stage(t)
             peak[name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
             tracemalloc.stop()
-        out[str(n)] = {"ms": {name: round(ms, 3) for name, ms in best.items()}, "peak_mb": peak}
+        out[str(n)] = {
+            "ms": {name: round(best[name], 3) if name in best else None for name in STAGES},
+            "peak_mb": {name: peak.get(name) for name in STAGES},
+        }
     return out
 
 
