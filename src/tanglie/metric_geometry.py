@@ -95,11 +95,11 @@ class CurvatureTensor:
 
 def levi_civita(mla: MetricLieAlgebra) -> Connection:
     """Levi-Civita connection from the bracket-only Koszul formula."""
-    c, g = mla.algebra.c, mla.metric.g
-    gb = np.einsum("ijm,mk->ijk", c, g)  # g([X_i, X_j], X_k)
+    c, g, n = mla.algebra.c, mla.metric.g, mla.dim
+    gb = (c.reshape(-1, n) @ g).reshape(c.shape)  # g([X_i, X_j], X_k)
     # gb.transpose(2,0,1)[i,j,k] = g([X_j, X_k], X_i); (1,2,0) gives g([X_k, X_i], X_j)
     k = 0.5 * (gb - gb.transpose(2, 0, 1) + gb.transpose(1, 2, 0))
-    return Connection(np.einsum("ijk,km->ijm", k, mla.metric.inv()))
+    return Connection((k.reshape(-1, n) @ mla.metric.inv()).reshape(c.shape))
 
 
 def torsion_defect(mla: MetricLieAlgebra, conn: Connection) -> float:

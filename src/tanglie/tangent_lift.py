@@ -32,17 +32,19 @@ algebra exactly when the base is, and :func:`build_tangent` checks J alone.
 
 Production path: :func:`build_tangent`, then the closed-form connection
 :func:`lifted_connection_closed_form`, from which :func:`lifted_curvature`
-and :func:`lifted_sectional` work.  The lambda-weighted Christoffel sums
-of the paper are derived in :func:`lifted_connection_structure_constants`;
-the paper's formulas built on them (:func:`structure_constant_curvature_blocks`,
+and :func:`lifted_sectional` work.  The lifted metric is the identity in
+the normalized frame, so the paper's lambda-weighted Christoffel sums are
+the Koszul formula on the lifted bracket, and
+:func:`lifted_connection_structure_constants` forms them by
+:func:`~tanglie.metric_geometry.levi_civita`.  The paper's formulas built
+on them (:func:`structure_constant_curvature_blocks`,
 :func:`curvature_block_deviations`, :func:`lifted_sectional_closed_forms`)
 are kept for checking and for ``--compare``.  Each term of the six
 curvature blocks sums over one index and is formed as one (n^2, n) x
 (n, n^2) matrix product.  A tangent is immutable, so each of the two
 connections is derived once per tangent and every later call returns
-the same object.  Every closed form is checked in the tests
-against the generic Koszul/curvature oracle from
-:mod:`tanglie.metric_geometry` applied to the lifted metric Lie algebra.
+the same object.  The tests check each connection route against a Koszul
+formula in the raw lift basis, which solves no eigenproblem.
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ def lift_components(t: TangentLieAlgebra, u) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Lifted Levi-Civita connection: two closed-form routes
+# Lifted Levi-Civita connection: the closed form and the Koszul sums
 # ---------------------------------------------------------------------------
 
 
@@ -364,18 +366,17 @@ def lifted_connection_closed_form(t: TangentLieAlgebra) -> Connection:
     isl = 1.0 / sl
     c = t.base.c
     lam = t.phi_data.lambdas
-    phi_b = np.diag(lam)  # phi = g1^{-1} g2 in the eigenbasis
     # adstar[j, k, i] = k-component of adstar2(X_j) applied to X_i: the
     # product g2^{-1} ad(X_j)^T g2 with g2 = diag(lambda), rounded in that order
     adstar = ((1.0 / lam)[None, :, None] * c) * lam[None, None, :]
 
     gamma = np.zeros((2 * n, 2 * n, 2 * n))
     gamma[n:, n:, n:] = conn1.gamma
-    w_cv = conn2.gamma + 0.5 * np.einsum("jki->ijk", adstar)
+    w_cv = conn2.gamma + 0.5 * adstar.transpose(2, 0, 1)  # adstar[j, k, i] at [i, j, k]
     gamma[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, w_cv)
-    w_vc = conn2.gamma + 0.5 * np.einsum("ikj->ijk", adstar)
+    w_vc = conn2.gamma + 0.5 * adstar.transpose(0, 2, 1)  # adstar[i, k, j] at [i, j, k]
     gamma[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, w_vc)
-    w_vv = np.einsum("km,ijm->ijk", phi_b, conn2.gamma - 0.5 * c)
+    w_vv = lam * (conn2.gamma - 0.5 * c)  # phi = diag(lambda) on the output slot
     gamma[:n, :n, n:] = np.einsum("i,j,ijk->ijk", isl, isl, w_vv)
     return Connection(gamma)
 
@@ -384,8 +385,8 @@ def lifted_connection_closed_form(t: TangentLieAlgebra) -> Connection:
 def lifted_connection_structure_constants(t: TangentLieAlgebra) -> Connection:
     """Same Christoffel tensor from the lambda-weighted bracket sums.
 
-    Evaluates the four explicit sums over the base structure constants and
-    eigenvalues directly, without forming base connections:
+    The paper gives the connection as four explicit sums over the base
+    structure constants and eigenvalues, without base connections:
 
         nabla_{Vi} Vj = 1/2 sum_l (r_ji c_li^j - r_ij c_jl^i) X_l^c
         nabla_{Ci} Cj = 1/2 sum_l (c_ij^l - c_jl^i + c_li^j) X_l^c
@@ -393,26 +394,13 @@ def lifted_connection_structure_constants(t: TangentLieAlgebra) -> Connection:
         nabla_{Vi} Cj = 1/2 sum_l (r_li c_ij^l - r_il c_jl^i) Vl
 
     where Vi, Ci are the normalized vertical and complete basis fields and
-    r_ab = sqrt(lambda_a / lambda_b).
+    r_ab = sqrt(lambda_a / lambda_b).  The lifted metric is the identity in
+    that frame, so these sums are the Koszul formula
+    1/2 (b_ijk - b_jki + b_kij) on the lifted bracket b, term for term and
+    in the same order, and the connection is :func:`levi_civita` of the
+    lifted metric Lie algebra.
     """
-    n = t.dim
-    sl = t.phi_data.sqrt_lambdas
-    isl = 1.0 / sl
-    c = t.base.c
-    gamma = np.zeros((2 * n, 2 * n, 2 * n))
-    gamma[:n, :n, n:] = 0.5 * (
-        np.einsum("j,i,lij->ijl", sl, isl, c) - np.einsum("i,j,jli->ijl", sl, isl, c)
-    )
-    gamma[n:, n:, n:] = 0.5 * (
-        c - np.einsum("jli->ijl", c) + np.einsum("lij->ijl", c)
-    )
-    gamma[n:, :n, :n] = 0.5 * (
-        np.einsum("l,j,ijl->ijl", sl, isl, c) + np.einsum("j,l,lij->ijl", sl, isl, c)
-    )
-    gamma[:n, n:, :n] = 0.5 * (
-        np.einsum("l,i,ijl->ijl", sl, isl, c) - np.einsum("i,l,jli->ijl", sl, isl, c)
-    )
-    return Connection(gamma)
+    return levi_civita(t.lifted_mla())
 
 
 # ---------------------------------------------------------------------------

@@ -742,6 +742,7 @@ def test_ladder_times_every_stage():
         assert sorted(row) == ["ms", "peak_mb"]
         assert sorted(row["ms"]) == sorted(row["peak_mb"])
         assert "build_tangent" in row["ms"] and "lifted_connection_closed_form" in row["ms"]
+        assert "levi_civita" in row["ms"]  # the lifted Koszul route, with no tensor budget
         # the block products apart from the deviation reduction around them
         assert "curvature_blocks" in row["ms"] and "curvature_block_deviations" in row["ms"]
     assert all(v >= 0 for part in out["3"].values() for v in part.values())
@@ -749,6 +750,7 @@ def test_ladder_times_every_stage():
         skipped = [name for name, v in part.items() if v is None]
         assert skipped == [name for name in part if name.startswith("curvature")]
         assert part["build_tangent"] >= 0 and part["lifted_connection_closed_form"] >= 0
+        assert part["levi_civita"] >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ connection, the curvature, its invariant residuals and the block
 deviations.  Their rewrites round in the same order, so each must equal
 its reference bit for bit, on the catalog, on seeded pairs at dimension
 4 and 6 and on the three base algebras of dimension 12 of the lift
-benchmark.  The six curvature blocks are the exception: their matrix
+benchmark.  So must ``levi_civita`` on the frame metrics I and
+diag(lambda), where each one-slot product sums a single nonzero term,
+and the structure-constant connection, which is ``levi_civita`` of the
+lift, against the paper's four lambda-weighted sums written out; under a
+general SPD metric ``levi_civita`` keeps the 1e-12 gate.  The
+connections are compared by ``tobytes``, since ``np.array_equal`` ignores
+the sign of a zero and the reports print it.  The six curvature blocks are the exception: their matrix
 products sum in another order than the inline einsums of
 ``test_tangent_lift``, so both must lie within the rounding bound that
 ``block_rounding_bound`` derives.  So do the lifted Jacobi guard, which
@@ -97,6 +103,15 @@ def ref_jacobi_defect(c):
     t = ref_jacobi_product(c)
     resid = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     return float(np.max(np.abs(resid)))
+
+
+def ref_levi_civita(mla):
+    """``levi_civita`` with the lowering and raising as einsums."""
+    c, g = mla.algebra.c, mla.metric.g
+    gb = np.einsum("ijm,mk->ijk", c, g)  # g([X_i, X_j], X_k)
+    # gb.transpose(2,0,1)[i,j,k] = g([X_j, X_k], X_i); (1,2,0) gives g([X_k, X_i], X_j)
+    k = 0.5 * (gb - gb.transpose(2, 0, 1) + gb.transpose(1, 2, 0))
+    return np.einsum("ijk,km->ijm", k, mla.metric.inv())
 
 
 def ref_curvature(c, gamma):
@@ -301,6 +316,7 @@ def test_curvature_and_lowerings_match_einsum(case):
     for g in (g1, g2):
         mla = MetricLieAlgebra(algebra, Metric(g))
         conn = levi_civita(mla)
+        assert_matches(conn.gamma, ref_levi_civita(mla))
         riem = curvature(mla, conn)
         assert_matches(riem.r, ref_curvature(algebra.c, conn.gamma))
         assert_matches(
@@ -406,6 +422,28 @@ def ref_closed_form(t):
     gamma[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, w_vc)
     w_vv = np.einsum("km,ijm->ijk", phi_b, conn2.gamma - 0.5 * c)
     gamma[:n, :n, n:] = np.einsum("i,j,ijk->ijk", isl, isl, w_vv)
+    return gamma
+
+
+def ref_structure_constant_connection(t):
+    """The connection from the four lambda-weighted sums, written out."""
+    n = t.dim
+    sl = t.phi_data.sqrt_lambdas
+    isl = 1.0 / sl
+    c = t.base.c
+    gamma = np.zeros((2 * n, 2 * n, 2 * n))
+    gamma[:n, :n, n:] = 0.5 * (
+        np.einsum("j,i,lij->ijl", sl, isl, c) - np.einsum("i,j,jli->ijl", sl, isl, c)
+    )
+    gamma[n:, n:, n:] = 0.5 * (
+        c - np.einsum("jli->ijl", c) + np.einsum("lij->ijl", c)
+    )
+    gamma[n:, :n, :n] = 0.5 * (
+        np.einsum("l,j,ijl->ijl", sl, isl, c) + np.einsum("j,l,lij->ijl", sl, isl, c)
+    )
+    gamma[:n, n:, :n] = 0.5 * (
+        np.einsum("l,i,ijl->ijl", sl, isl, c) - np.einsum("i,l,jli->ijl", sl, isl, c)
+    )
     return gamma
 
 
@@ -560,7 +598,13 @@ def lift_case(request):
 def test_lift_rewrites_equal_their_references(lift_case):
     t = lift_case
     gamma = lifted_connection_closed_form(t).gamma
-    assert np.array_equal(gamma, ref_closed_form(t))
+    assert gamma.tobytes() == ref_closed_form(t).tobytes()
+    # the frame metrics are I and diag(lambda), so each one-slot product
+    # of levi_civita sums one nonzero term and rounds as the einsum did
+    for mla in (t.base_mla1(), t.base_mla2(), t.lifted_mla()):
+        assert levi_civita(mla).gamma.tobytes() == ref_levi_civita(mla).tobytes()
+    want = ref_structure_constant_connection(t)
+    assert lifted_connection_structure_constants(t).gamma.tobytes() == want.tobytes()
     riem = lifted_curvature(t)
     assert np.array_equal(riem.r, ref_full_tensor_curvature(t.lifted.c, gamma))
     raw = tangent_algebra_unnormalized(t.input_algebra).c
@@ -568,6 +612,17 @@ def test_lift_rewrites_equal_their_references(lift_case):
     mla = t.lifted_mla()
     assert curvature_invariant_defects(mla, riem) == ref_invariant_defects(riem.r, mla.metric.g)
     assert curvature_block_deviations(t, riem) == ref_block_deviations(t, riem)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_structure_constant_sums_equal_koszul_on_seeded_pairs(name):
+    algebra = catalog_algebra(name).algebra()
+    rng = np.random.default_rng(1400)
+    for _ in range(3):
+        n = algebra.dim
+        t = build_tangent(algebra, random_spd_metric(rng, n), random_spd_metric(rng, n))
+        want = ref_structure_constant_connection(t)
+        assert lifted_connection_structure_constants(t).gamma.tobytes() == want.tobytes()
 
 
 def test_curvature_blocks_within_rounding_of_their_references(lift_case):

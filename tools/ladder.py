@@ -7,9 +7,11 @@ before, so a connection derived once per tangent is derived again every
 time.  The best time in ms and the peak of memory allocated during one
 more call, in MiB as ``tracemalloc`` counts it, are printed as JSON, one
 object per n.  Only public library functions are timed, so two checkouts
-compare stage by stage.  The stages past the connection work on the
-curvature, a (2n)^4 tensor; where that tensor would take more than
-``TENSOR_BUDGET`` bytes they are skipped and printed as null.
+compare stage by stage.  The two connection stages are the closed form
+and ``levi_civita`` of the lift, the route of the structure-constant
+sums.  The stages past them work on the curvature, a (2n)^4 tensor;
+where that tensor would take more than ``TENSOR_BUDGET`` bytes they are
+skipped and printed as null.
 
 Usage (from anywhere)::
 
@@ -35,6 +37,7 @@ TENSOR_BUDGET = 2**30  # bytes of one (2n)^4 float64 tensor: n = 51 fits, n = 71
 STAGES = (
     "build_tangent",
     "lifted_connection_closed_form",
+    "levi_civita",
     "curvature",
     "curvature_invariant_defects",
     "curvature_blocks",
@@ -64,6 +67,7 @@ def ladder(sizes, repeat) -> dict:
         stages = {  # each takes a tangent on which nothing is derived yet
             "build_tangent": lambda t: tl.build_tangent(algebra, g1, g2),
             "lifted_connection_closed_form": tl.lifted_connection_closed_form,
+            "levi_civita": lambda t: mg.levi_civita(t.lifted_mla()),
         }
         if 8 * (2 * n) ** 4 <= TENSOR_BUDGET:
             conn = tl.lifted_connection_closed_form(tl.build_tangent(algebra, g1, g2))
