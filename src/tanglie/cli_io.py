@@ -624,10 +624,11 @@ def _cmd_connection(args, report: Report):
     else:
         t = _tangent(problem)
         mla = t.lifted_mla()
+        koszul = tl.lifted_connection_structure_constants(t)
         routes = {
-            "koszul": mg.levi_civita(mla),
+            "koszul": koszul,
             "closed": tl.lifted_connection_closed_form(t),
-            "structconst": tl.lifted_connection_structure_constants(t),
+            "structconst": koszul,
         }
         conn = routes[args.method or "koszul"]
         for name, route in (
@@ -713,7 +714,7 @@ def _cmd_lift(args, report: Report):
     conn_reloaded = mg.levi_civita(
         mg.MetricLieAlgebra(reloaded.algebra(), reloaded.metric("g1"))
     )
-    conn_memory = mg.levi_civita(t.lifted_mla())
+    conn_memory = tl.lifted_connection_structure_constants(t)
     report.check(
         "round_trip_connection",
         float(np.max(np.abs(conn_reloaded.gamma - conn_memory.gamma))),

@@ -84,8 +84,10 @@ class CurvatureTensor:
         return self.r.shape[0]
 
     def apply(self, x, y, z) -> np.ndarray:
-        """Coefficients of R(x, y) z."""
-        return np.einsum("i,j,k,ijkh->h", x, y, z, self.r)
+        """Coefficients of R(x, y) z, contracting one slot at a time."""
+        n = self.dim
+        rx = (x @ self.r.reshape(n, -1)).reshape(n, -1)  # R(x, e_j) e_k
+        return z @ (y @ rx).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ class TwoForm:
     def dim(self) -> int:
         return self.w.shape[0]
 
-    def value(self, x, y) -> float:
-        return float(np.asarray(x) @ self.w @ np.asarray(y))
-
 
 def _cocycle_tensor(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cyclic sum w([X_i,X_j],X_k) + w([X_j,X_k],X_i) + w([X_k,X_i],X_j)."""

@@ -42,9 +42,12 @@ on them (:func:`structure_constant_curvature_blocks`,
 are kept for checking and for ``--compare``.  Each term of the six
 curvature blocks sums over one index and is formed as one (n^2, n) x
 (n, n^2) matrix product.  A tangent is immutable, so each of the two
-connections is derived once per tangent and every later call returns
-the same object.  The tests check each connection route against a Koszul
-formula in the raw lift basis, which solves no eigenproblem.
+connections, the closed form and the Koszul one, is derived once per
+tangent and every later call returns the same object; the Koszul and the
+structure-constant routes are that one Koszul connection.  The tests
+check each route against the Koszul formula in the raw lift basis of the
+benchmark's checker, which solves no eigenproblem and imports nothing
+from this package.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ class PhiData:
 
     lambdas: np.ndarray
     b1: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.lambdas.shape[0]
 
     @property
     def sqrt_lambdas(self) -> np.ndarray:

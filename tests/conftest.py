@@ -1,7 +1,15 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from tanglie.cli_io import catalog_algebra
+
+# the benchmark's checker, plain numpy that imports nothing from tanglie,
+# is the tests' raw-basis oracle
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 CATALOG = ("abelian2", "abelian3", "aff1", "heisenberg", "solvable_rr2", "su2")
 

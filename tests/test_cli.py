@@ -725,7 +725,7 @@ def test_ab_pairs_counts_wins_by_direction():
 def test_ladder_times_every_stage():
     # in a process of its own: the tool pins BLAS threads and extends sys.path.
     # A budget that fits the (2n)^4 tensor of n = 3 and not that of n = 5
-    # makes n = 5 skip the curvature stages.
+    # makes n = 5 skip the curvature stages and the plane read from it.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     tool = os.path.join(root, "tools", "ladder.py")
     run = (
@@ -743,14 +743,17 @@ def test_ladder_times_every_stage():
         assert sorted(row["ms"]) == sorted(row["peak_mb"])
         assert "build_tangent" in row["ms"] and "lifted_connection_closed_form" in row["ms"]
         assert "levi_civita" in row["ms"]  # the lifted Koszul route, with no tensor budget
+        assert "lifted_sectional" in row["ms"] and "lifted_sectional_riem" in row["ms"]
         # the block products apart from the deviation reduction around them
         assert "curvature_blocks" in row["ms"] and "curvature_block_deviations" in row["ms"]
     assert all(v >= 0 for part in out["3"].values() for v in part.values())
     for part in out["5"].values():
         skipped = [name for name, v in part.items() if v is None]
-        assert skipped == [name for name in part if name.startswith("curvature")]
+        assert skipped == [
+            name for name in part if name.startswith("curvature")
+        ] + ["lifted_sectional_riem"]
         assert part["build_tangent"] >= 0 and part["lifted_connection_closed_form"] >= 0
-        assert part["levi_civita"] >= 0
+        assert part["levi_civita"] >= 0 and part["lifted_sectional"] >= 0
 
 
 # ---------------------------------------------------------------------------

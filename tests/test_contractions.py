@@ -18,8 +18,8 @@ diag(lambda), where each one-slot product sums a single nonzero term,
 and the structure-constant connection, which is ``levi_civita`` of the
 lift, against the paper's four lambda-weighted sums written out; under a
 general SPD metric ``levi_civita`` keeps the 1e-12 gate.  The
-connections are compared by ``tobytes``, since ``np.array_equal`` ignores
-the sign of a zero and the reports print it.  The six curvature blocks are the exception: their matrix
+connections and the raw lift bracket are compared by ``tobytes``, since
+``np.array_equal`` ignores the sign of a zero and the reports print it.  The six curvature blocks are the exception: their matrix
 products sum in another order than the inline einsums of
 ``test_tangent_lift``, so both must lie within the rounding bound that
 ``block_rounding_bound`` derives.  So do the lifted Jacobi guard, which
@@ -34,8 +34,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tanglie import tangent_lift
-from tanglie.cli_io import catalog_algebra
+from tanglie import metric_geometry, tangent_lift
+from tanglie.cli_io import catalog_algebra, run_command
 from tanglie.errors import PreconditionViolated, ValidationError
 from tanglie.lie_core import (
     EPS_JACOBI,
@@ -118,6 +118,10 @@ def ref_curvature(c, gamma):
     t1 = np.einsum("jkm,imh->ijkh", gamma, gamma)
     t3 = np.einsum("ijm,mkh->ijkh", c, gamma)
     return t1 - t1.transpose(1, 0, 2, 3) - t3
+
+
+def ref_curvature_apply(r, x, y, z):
+    return np.einsum("i,j,k,ijkh->h", x, y, z, r)
 
 
 def ref_lowered_curvature(r, g):
@@ -608,7 +612,7 @@ def test_lift_rewrites_equal_their_references(lift_case):
     riem = lifted_curvature(t)
     assert np.array_equal(riem.r, ref_full_tensor_curvature(t.lifted.c, gamma))
     raw = tangent_algebra_unnormalized(t.input_algebra).c
-    assert np.array_equal(raw, ref_unnormalized_lift(t.input_algebra.c))
+    assert raw.tobytes() == ref_unnormalized_lift(t.input_algebra.c).tobytes()
     mla = t.lifted_mla()
     assert curvature_invariant_defects(mla, riem) == ref_invariant_defects(riem.r, mla.metric.g)
     assert curvature_block_deviations(t, riem) == ref_block_deviations(t, riem)
@@ -623,6 +627,14 @@ def test_structure_constant_sums_equal_koszul_on_seeded_pairs(name):
         t = build_tangent(algebra, random_spd_metric(rng, n), random_spd_metric(rng, n))
         want = ref_structure_constant_connection(t)
         assert lifted_connection_structure_constants(t).gamma.tobytes() == want.tobytes()
+
+
+def test_curvature_apply_matches_einsum(lift_case):
+    riem = lifted_curvature(lift_case)
+    rng = np.random.default_rng(1501)
+    e = np.eye(riem.dim)
+    for x, y, z in [*rng.standard_normal((4, 3, riem.dim)), (e[0], e[-1], e[1])]:
+        assert_matches(riem.apply(x, y, z), ref_curvature_apply(riem.r, x, y, z))
 
 
 def test_curvature_blocks_within_rounding_of_their_references(lift_case):
@@ -885,3 +897,18 @@ def test_curvature_and_planes_share_one_connection(monkeypatch):
     for _ in range(2):
         lifted_sectional(t, *rng.standard_normal((2, 2 * t.dim)))
     assert len(calls) == 2  # nabla1 and nabla2 of the base metrics
+
+
+@pytest.mark.parametrize("method", ["koszul", "closed", "structconst"])
+def test_lift_connection_command_forms_each_connection_once(monkeypatch, method):
+    calls = []
+
+    def counted(mla):
+        calls.append(mla)
+        return levi_civita(mla)
+
+    for module in (metric_geometry, tangent_lift):
+        monkeypatch.setattr(module, "levi_civita", counted)
+    argv = ["connection", "heisenberg", "--metric", "lift", "--method", method]
+    assert run_command(argv) == 0
+    assert len(calls) == 3  # nabla1 and nabla2 of the base metrics, and the lift's Koszul

@@ -43,6 +43,7 @@ from tanglie.tangent_lift import (
     vertical_lift,
 )
 
+import checker
 from conftest import CATALOG, h7_doc
 
 X, Y, Z = np.eye(3)
@@ -170,9 +171,8 @@ def test_phi_partial_clusters(rng):
     t = build_tangent(
         LieAlgebra.from_brackets(4, {(0, 1, 1): 1.0}), g1, g2
     )
-    koszul = levi_civita(t.lifted_mla())
     closed = lifted_connection_closed_form(t)
-    npt.assert_allclose(closed.gamma, koszul.gamma, atol=1e-9)
+    npt.assert_allclose(closed.gamma, _raw_koszul_in_frame(t), atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -894,18 +894,11 @@ def test_lift_automorphism_shape_mismatch():
 
 def _raw_koszul_in_frame(t):
     """Koszul connection of blockdiag(g2, g1) in the raw lift basis, mapped
-    into the normalized frame; the raw side solves no eigenproblem."""
-    n = t.dim
-    g = lift_automorphism(t.input_g1.g, t.input_g2.g)
-    low = np.tensordot(tangent_algebra_unnormalized(t.input_algebra).c, g, axes=(2, 0))
-    kos = 0.5 * (low - low.transpose(2, 0, 1) + low.transpose(1, 2, 0))
-    raw = np.tensordot(kos, np.linalg.inv(g), axes=(2, 0))
-    p = np.zeros((2 * n, 2 * n))  # frame vectors as raw columns
-    p[:n, :n] = t.phi_data.b1 / t.phi_data.sqrt_lambdas[None, :]
-    p[n:, n:] = t.phi_data.b1
-    out = np.tensordot(p, raw, axes=(0, 0))  # i, b, c
-    out = np.tensordot(p, out, axes=(0, 1)).transpose(1, 0, 2)  # i, j, c
-    return np.tensordot(out, np.linalg.inv(p), axes=(2, 1))
+    into the normalized frame by the benchmark's checker, which solves no
+    eigenproblem and imports nothing from tanglie."""
+    b = checker.raw_bracket(t.input_algebra.c)
+    raw = checker.koszul(b, checker.raw_metric(t.input_g1.g, t.input_g2.g))
+    return checker.to_frame3(raw, checker.lift_frame(t.phi_data.b1, t.phi_data.lambdas))
 
 
 @pytest.mark.parametrize("spread", [2, 4, 6, 7, 8, 10])

@@ -9,9 +9,12 @@ more call, in MiB as ``tracemalloc`` counts it, are printed as JSON, one
 object per n.  Only public library functions are timed, so two checkouts
 compare stage by stage.  The two connection stages are the closed form
 and ``levi_civita`` of the lift, the route of the structure-constant
-sums.  The stages past them work on the curvature, a (2n)^4 tensor;
-where that tensor would take more than ``TENSOR_BUDGET`` bytes they are
-skipped and printed as null.
+sums.  The two plane stages take the sectional curvature of one seeded
+plane on a tangent whose closed form is already derived:
+``lifted_sectional`` from the connection, ``lifted_sectional_riem`` from
+the curvature tensor.  The curvature stages and ``lifted_sectional_riem``
+work on the curvature, a (2n)^4 tensor; where that tensor would take more
+than ``TENSOR_BUDGET`` bytes they are skipped and printed as null.
 
 Usage (from anywhere)::
 
@@ -38,10 +41,12 @@ STAGES = (
     "build_tangent",
     "lifted_connection_closed_form",
     "levi_civita",
+    "lifted_sectional",
     "curvature",
     "curvature_invariant_defects",
     "curvature_blocks",
     "curvature_block_deviations",
+    "lifted_sectional_riem",
 )
 
 
@@ -64,20 +69,24 @@ def ladder(sizes, repeat) -> dict:
         rng = np.random.default_rng(n)
         algebra = LieAlgebra.from_tensor(heisenberg(n))
         g1, g2 = mg.random_spd_metric(rng, n), mg.random_spd_metric(rng, n)
+        u, v = rng.standard_normal((2, 2 * n))
+        warm = tl.build_tangent(algebra, g1, g2)
+        conn = tl.lifted_connection_closed_form(warm)
         stages = {  # each takes a tangent on which nothing is derived yet
             "build_tangent": lambda t: tl.build_tangent(algebra, g1, g2),
             "lifted_connection_closed_form": tl.lifted_connection_closed_form,
             "levi_civita": lambda t: mg.levi_civita(t.lifted_mla()),
+            "lifted_sectional": lambda t: tl.lifted_sectional(warm, u, v),
         }
         if 8 * (2 * n) ** 4 <= TENSOR_BUDGET:
-            conn = tl.lifted_connection_closed_form(tl.build_tangent(algebra, g1, g2))
-            riem = mg.curvature(tl.build_tangent(algebra, g1, g2).lifted_mla(), conn)
+            riem = mg.curvature(warm.lifted_mla(), conn)
             stages.update({
                 "curvature": lambda t: mg.curvature(t.lifted_mla(), conn),
                 "curvature_invariant_defects": lambda t: mg.curvature_invariant_defects(
                     t.lifted_mla(), riem),
                 "curvature_blocks": tl.structure_constant_curvature_blocks,
                 "curvature_block_deviations": lambda t: tl.curvature_block_deviations(t, riem),
+                "lifted_sectional_riem": lambda t: tl.lifted_sectional(warm, u, v, riem),
             })
         best = {name: float("inf") for name in stages}
         for _ in range(repeat):
