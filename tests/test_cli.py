@@ -31,6 +31,7 @@ from tanglie.metric_geometry import (
 )
 from tanglie.tangent_lift import build_tangent, compute_phi, vertical_lift
 
+import tracing
 from conftest import CATALOG, SWEEP_SEED, h7_doc
 
 
@@ -754,6 +755,15 @@ def test_ladder_times_every_stage():
         ] + ["lifted_sectional_riem"]
         assert part["build_tangent"] >= 0 and part["lifted_connection_closed_form"] >= 0
         assert part["levi_civita"] >= 0 and part["lifted_sectional"] >= 0
+
+
+def test_trace_targets_resolve():
+    # read only: install() would rebind the package for the rest of the
+    # session.  A renamed or moved target otherwise breaks only traced runs.
+    for module, names in tracing.TARGETS.items():
+        mod = importlib.import_module(f"tanglie.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"tanglie.{module}.{name}"
 
 
 # ---------------------------------------------------------------------------

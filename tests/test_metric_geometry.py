@@ -6,9 +6,10 @@ import pytest
 
 from tanglie.cli_io import catalog_algebra
 from tanglie.errors import DegeneratePlane, PreconditionViolated
-from tanglie.lie_core import Metric, bracket, pullback_metric
+from tanglie.lie_core import CHECK_TOL, Metric, bracket, pullback_metric
 from tanglie.metric_geometry import (
     MetricLieAlgebra,
+    bi_invariance_defect,
     canonical_metricity_defect,
     classify_field,
     compatibility_defect,
@@ -16,12 +17,10 @@ from tanglie.metric_geometry import (
     curvature_invariant_defects,
     double_bracket_defect,
     equivariance_defect,
-    is_bi_invariant,
     is_geodesic_vector,
     levi_civita,
     lie_derivative_metric,
     random_spd_metric,
-    satisfies_double_bracket_condition,
     sectional,
     torsion_defect,
 )
@@ -50,7 +49,7 @@ def test_heisenberg_connection_values():
 
 def test_bi_invariant_connection_is_half_bracket(su2):
     mla = MetricLieAlgebra(su2.algebra(), su2.metric("g1"))
-    assert is_bi_invariant(mla)
+    assert bi_invariance_defect(mla) <= CHECK_TOL
     conn = levi_civita(mla)
     npt.assert_allclose(conn.gamma, 0.5 * mla.algebra.c, atol=1e-9)
 
@@ -166,9 +165,9 @@ def test_sectional_rejects_degenerate_plane():
 
 
 def test_bi_invariance_booleans():
-    assert is_bi_invariant(_mla("su2"))
-    assert is_bi_invariant(_mla("abelian3", "g2"))
-    assert not is_bi_invariant(_mla("heisenberg"))
+    assert bi_invariance_defect(_mla("su2")) <= CHECK_TOL
+    assert bi_invariance_defect(_mla("abelian3", "g2")) <= CHECK_TOL
+    assert bi_invariance_defect(_mla("heisenberg")) > CHECK_TOL
 
 
 def test_canonical_metricity():
@@ -179,10 +178,11 @@ def test_canonical_metricity():
 
 
 def test_double_bracket_condition():
-    assert satisfies_double_bracket_condition(_mla("heisenberg"))
-    assert satisfies_double_bracket_condition(_mla("heisenberg", "g2"))
-    assert satisfies_double_bracket_condition(_mla("abelian3"))
-    assert not satisfies_double_bracket_condition(_mla("solvable_rr2"))
+    assert double_bracket_defect(_mla("heisenberg")) <= CHECK_TOL
+    assert double_bracket_defect(_mla("heisenberg", "g2")) <= CHECK_TOL
+    assert double_bracket_defect(_mla("abelian3")) <= CHECK_TOL
+    assert double_bracket_defect(_mla("solvable_rr2")) > CHECK_TOL
+    assert double_bracket_defect(_mla("su2", "g2")) > CHECK_TOL
     # [Z,[Z,X]] = X gives <X, X> = 1
     assert double_bracket_defect(_mla("solvable_rr2")) >= 1.0
 

@@ -9,6 +9,7 @@ import pytest
 from tanglie.cli_io import catalog_algebra, problem_from_dict
 from tanglie.errors import DegeneratePlane, InvalidDimension, NonPositiveDefinite
 from tanglie.lie_core import (
+    CHECK_TOL,
     LieAlgebra,
     Metric,
     bracket,
@@ -18,7 +19,9 @@ from tanglie.lie_core import (
 )
 from tanglie.metric_geometry import (
     MetricLieAlgebra,
+    bi_invariance_defect,
     curvature,
+    double_bracket_defect,
     is_geodesic_vector,
     levi_civita,
     lie_derivative_metric,
@@ -653,7 +656,7 @@ def _reference_sectional_closed_forms(t):
         - 2.0 * np.einsum("ijl,lji->ij", c, c)
         - 4.0 * cross
     )
-    for m in (cc, vv, vc):
+    for m in (cc, vv):
         np.fill_diagonal(m, 0.0)
     return {"cc": cc, "vv": vv, "vc": vc}
 
@@ -769,25 +772,21 @@ def test_complete_pairs_reproduce_base_sectional(name, rng):
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_sectional_closed_forms_match_tensor(name, rng):
-    t = _random_tangent(name, rng)
-    riem = lifted_curvature(t)
-    forms = lifted_sectional_closed_forms(t)
-    n = t.dim
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ec = np.zeros(2 * n)
-            ec[n + i] = 1.0
-            fc = np.zeros(2 * n)
-            fc[n + j] = 1.0
-            ev = np.zeros(2 * n)
-            ev[i] = 1.0
-            fv = np.zeros(2 * n)
-            fv[j] = 1.0
-            assert abs(lifted_sectional(t, ec, fc, riem) - forms["cc"][i, j]) <= 1e-8
-            assert abs(lifted_sectional(t, ev, fv, riem) - forms["vv"][i, j]) <= 1e-8
-            assert abs(lifted_sectional(t, ev, fc, riem) - forms["vc"][i, j]) <= 1e-8
+    for t in (_tangent(name), _random_tangent(name, rng)):
+        riem = lifted_curvature(t)
+        forms = lifted_sectional_closed_forms(t)
+        n = t.dim
+        e = np.eye(2 * n)  # V_i = e[i], X_i^c = e[n + i]
+        for i in range(n):
+            # (V_i, X_i^c) is a plane, so the vc diagonal is a sectional curvature
+            assert abs(lifted_sectional(t, e[i], e[n + i], riem) - forms["vc"][i, i]) <= 1e-12
+            for j in range(n):
+                if i == j:
+                    continue
+                cc = lifted_sectional(t, e[n + i], e[n + j], riem)
+                assert abs(cc - forms["cc"][i, j]) <= 1e-8
+                assert abs(lifted_sectional(t, e[i], e[j], riem) - forms["vv"][i, j]) <= 1e-8
+                assert abs(lifted_sectional(t, e[i], e[n + j], riem) - forms["vc"][i, j]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -795,23 +794,46 @@ def test_sectional_closed_forms_match_tensor(name, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_bi_invariance_abelian_all_true():
-    status = bi_invariance_of_lift(_tangent("abelian3"))
-    assert status.lift_satisfies_oneill
-    assert status.g1_biinv and status.g2_eq24
+def _tensor_algebra(n, entries):
+    c = np.zeros((n, n, n))
+    for i, j, k, v in entries:
+        c[i, j, k] = v
+        c[j, i, k] = -v
+    return LieAlgebra.from_tensor(c)
 
 
-def test_bi_invariance_heisenberg():
-    status = bi_invariance_of_lift(_tangent("heisenberg"))
-    assert not status.g1_biinv  # nilpotent nonabelian: never ad-invariant
-    assert status.g2_eq24
+#: abelian, nilpotent, solvable and compact bases of the bi-invariance theorem
+THEOREM_BASES = {
+    "abelian3": catalog_algebra("abelian3").algebra(),
+    "h3+R": _tensor_algebra(4, [(0, 1, 2, 1.0)]),
+    "h11": _tensor_algebra(11, [(i, 5 + i, 10, 1.0) for i in range(5)]),
+    "filiform7": _tensor_algebra(7, [(0, i, i + 1, 1.0) for i in range(1, 6)]),
+    "aff1": catalog_algebra("aff1").algebra(),
+    "solvable_rr2": catalog_algebra("solvable_rr2").algebra(),
+    "su2": catalog_algebra("su2").algebra(),
+    "su2+su2": _direct_sum("su2", "su2"),
+}
 
 
-def test_bi_invariance_su2():
-    status = bi_invariance_of_lift(_tangent("su2"))
-    assert status.g1_biinv
-    assert not status.g2_eq24
-    assert not status.lift_satisfies_oneill
+@pytest.mark.parametrize("name", THEOREM_BASES)
+def test_lift_bi_invariant_iff_base_abelian(name, rng):
+    # gt(V_i, [V_j, X_k^c]) - gt([V_i, V_j], X_k^c) = sqrt(lambda_i / lambda_j) c_jki
+    tangents = [_random_pair_tangent(THEOREM_BASES[name], rng) for _ in range(5)]
+    if name in CATALOG:  # the catalog su2 pair has an ad-invariant g1
+        tangents.append(_tangent(name))
+    for t in tangents:
+        size = float(np.max(np.abs(t.base.c)))
+        lam = t.phi_data.lambdas
+        defect = bi_invariance_defect(t.lifted_mla())
+        if size == 0.0:
+            assert defect == 0.0
+        else:
+            assert defect >= np.sqrt(lam.min() / lam.max()) * size
+        assert bi_invariance_of_lift(t).lift_satisfies_oneill == (size == 0.0)
+        # the paper's sufficient condition holds only on abelian bases
+        g1_ad_invariant = bi_invariance_defect(t.base_mla1()) <= CHECK_TOL
+        if g1_ad_invariant and double_bracket_defect(t.base_mla2()) <= CHECK_TOL:
+            assert size == 0.0
 
 
 # ---------------------------------------------------------------------------
