@@ -29,6 +29,7 @@ from tanglie.metric_geometry import (
     lie_derivative_metric,
     random_spd_metric,
 )
+from tanglie.symplectic_lift import CLOSEDNESS_PATTERNS
 from tanglie.tangent_lift import build_tangent, compute_phi, vertical_lift
 
 import tracing
@@ -395,6 +396,76 @@ def test_symplectic_command(capsys):
     code, report = _run_json(["symplectic", "aff1"], capsys)
     assert code == 0
     assert report["result"]["smallest_singular_value"] > 1e-6
+
+
+def _aff1_symplectic_doc(scale=1.0, **metrics):
+    doc = catalog_algebra("aff1").to_dict()
+    doc["metrics"].update({k: np.asarray(v).tolist() for k, v in metrics.items()})
+    doc["symplectic"] = {k: (scale * np.array(w)).tolist() for k, w in doc["symplectic"].items()}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _aff1_symplectic_doc(g2=np.diag([1e13, 1.0])),
+        _aff1_symplectic_doc(1e-7),
+        _aff1_symplectic_doc(1e-10),
+        _aff1_symplectic_doc(1e8, g1=[[2, 0.7], [0.7, 1]], g2=[[1, 0.2], [0.2, 3]]),
+    ],
+    ids=["g2_spread_1e13", "forms_1e-7", "forms_1e-10", "forms_1e8_rotated"],
+)
+def test_symplectic_verdict_ignores_scale(doc, tmp_path, capsys):
+    # valid symplectic pairs that absolute bounds once judged FAIL or refused
+    code, report = _run_json(["symplectic", _write(tmp_path, "p.json", doc)], capsys)
+    assert code == 0
+    assert [r["name"] for r in report["checks"]] == [f"closedness_{p}" for p in CLOSEDNESS_PATTERNS]
+    assert all(r["passed"] for r in report["checks"])
+
+
+def test_symplectic_sweep_over_scales_and_spreads(tmp_path, capsys):
+    # aff1 + aff1 with w1 = s*J; w2 = s*J is symplectic, w2 = s*e^X1^e^Y1
+    # is closed but degenerate, so the lift of that pair must be refused
+    j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    degenerate = np.zeros((4, 4))
+    degenerate[0, 1], degenerate[1, 0] = 1.0, -1.0
+    base = {
+        "schema": "tanglie/1",
+        "dim": 4,
+        "basis": ["X1", "Y1", "X2", "Y2"],
+        "brackets": [
+            {"i": 0, "j": 1, "k": 1, "value": 1.0},
+            {"i": 2, "j": 3, "k": 3, "value": 1.0},
+        ],
+    }
+    codes = {"valid": [], "degenerate": []}
+    for s in 10.0 ** np.arange(-12, 13, 3):
+        for spread in (1.0, 1e4, 1e8, 1e12, 1e14):
+            metrics = {"g1": np.eye(4).tolist(), "g2": np.diag(np.geomspace(1, spread, 4)).tolist()}
+            for kind, w2 in (("valid", j), ("degenerate", degenerate)):
+                doc = dict(base, metrics=metrics,
+                           symplectic={"w1": (s * j).tolist(), "w2": (s * w2).tolist()})
+                codes[kind].append(run_command(["symplectic", _write(tmp_path, "p.json", doc)]))
+                err = capsys.readouterr().err
+                if kind == "degenerate":
+                    assert "NotSymplecticInput" in err, (s, spread)
+    assert codes == {"valid": [0] * 45, "degenerate": [2] * 45}
+
+
+def test_symplectic_command_forms_the_lifted_cocycle_once(monkeypatch, capsys):
+    from tanglie import symplectic_lift
+
+    sides = []
+    original = symplectic_lift._cocycle_tensor
+
+    def counted(c, w):
+        sides.append(c.shape[0])
+        return original(c, w)
+
+    monkeypatch.setattr(symplectic_lift, "_cocycle_tensor", counted)
+    assert run_command(["symplectic", "aff1"]) == 0
+    capsys.readouterr()
+    assert sides.count(4) == 1  # the (2n)^3 tensor of the lift, n = 2
 
 
 def test_symplectic_odd_dimension_rejected(capsys):

@@ -12,8 +12,10 @@ from tanglie.symplectic_lift import (
     CLOSEDNESS_PATTERNS,
     TwoForm,
     cocycle_defect,
+    RTOL,
     is_symplectic,
     lift_symplectic,
+    relative_closedness,
     verify_closedness_identities,
 )
 from tanglie.tangent_lift import build_tangent
@@ -108,6 +110,8 @@ def test_lifted_form_is_symplectic(name):
     residuals = verify_closedness_identities(t, lifted)
     assert max(residuals.values()) <= 1e-9
     assert residuals["vvv"] == 0.0
+    # abelian2's residuals are all exactly 0, and nothing divides by zero
+    assert max(relative_closedness(t, lifted).values()) <= RTOL
 
 
 def test_vertical_complete_pairing_is_w2():
@@ -174,6 +178,9 @@ def test_lift_rejects_degenerate_form():
 # ---------------------------------------------------------------------------
 
 
+ZERO_PATTERNS = ("vvv", "vvc", "vcv", "cvv")  # patterns with no nonzero term
+
+
 def test_ccc_residual_equals_w1_cocycle_defect(rng):
     # a non-closed form on aff(1)+R^2 makes the reduction visible
     algebra = _sum_algebra()
@@ -186,6 +193,7 @@ def test_ccc_residual_equals_w1_cocycle_defect(rng):
     base_defect = cocycle_defect(t.base, TwoForm(t.phi_data.b1.T @ w1.w @ t.phi_data.b1))
     npt.assert_allclose(residuals["ccc"], base_defect, atol=1e-12)
     assert residuals["ccc"] > 1e-3  # the chosen form really is non-closed
+    assert all(residuals[p] == 0.0 for p in ZERO_PATTERNS)
 
 
 def test_ccv_residual_equals_w2_cocycle_defect(rng):
@@ -197,7 +205,13 @@ def test_ccv_residual_equals_w2_cocycle_defect(rng):
     lifted = lift_symplectic(t, w1, w2, check=False)
     residuals = verify_closedness_identities(t, lifted)
     base_defect = cocycle_defect(t.base, TwoForm(t.phi_data.b1.T @ w2.w @ t.phi_data.b1))
-    npt.assert_allclose(residuals["ccv"], base_defect, atol=1e-12)
+    size = np.max(np.abs(t.base.c)) * np.max(np.abs(t.phi_data.b1.T @ w2.w @ t.phi_data.b1))
+    relative = relative_closedness(t, lifted)
+    for pattern in ("ccv", "cvc", "vcc"):  # each is w2's cocycle sum
+        npt.assert_allclose(residuals[pattern], base_defect, atol=1e-12)
+        npt.assert_allclose(relative[pattern], residuals[pattern] / size, rtol=1e-12)
+    assert residuals["ccv"] > 1e-3
+    assert all(residuals[p] == 0.0 for p in ZERO_PATTERNS)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +258,11 @@ def _exact_form(c, theta):
     return -np.einsum("ijk,k->ij", c, theta)
 
 
+def _seeded_symplectic_form(c, w0, rng):
+    """A scaled symplectic w0 plus an exact form: symplectic for these w0."""
+    return TwoForm(rng.uniform(1.0, 2.0) * w0 + _exact_form(c, rng.standard_normal(c.shape[0])))
+
+
 AFF1 = LieAlgebra.from_brackets(2, {(0, 1, 1): 1.0}).c
 H3R = LieAlgebra.from_brackets(4, {(0, 1, 2): 1.0}).c
 H3R_FORM = np.zeros((4, 4))  # e^X ^ e^Z + e^Y ^ e^T
@@ -280,25 +299,33 @@ def test_closedness_matches_reference_catalog_random(name, rng):
         )
         m1, m2 = rng.standard_normal((2, n, n))
         lifted = lift_symplectic(t, TwoForm(m1 - m1.T), TwoForm(m2 - m2.T), check=False)
-        _assert_matches_reference(t, lifted)
+        residuals = _assert_matches_reference(t, lifted)
+        assert all(residuals[p] == 0.0 for p in ZERO_PATTERNS)
 
 
-@pytest.mark.parametrize(
+SEEDED_PARTS = pytest.mark.parametrize(
     "parts",
     [("h3r",), ("aff1", "aff1"), ("aff1",) * 3, ("h3r", "aff1")],
     ids=["h3+R", "2aff1", "3aff1", "h3+R+aff1"],
 )
-def test_closedness_matches_reference_seeded_symplectic_pairs(parts, rng):
+
+
+def _seeded_pair_base(parts):
+    """Direct-sum bracket and symplectic form of aff1 and h3+R blocks."""
     blocks = {"aff1": (AFF1, J2), "h3r": (H3R, H3R_FORM)}
-    c = _direct_sum([blocks[p][0] for p in parts], 3)
-    w0 = _direct_sum([blocks[p][1] for p in parts], 2)
+    return (
+        _direct_sum([blocks[p][0] for p in parts], 3),
+        _direct_sum([blocks[p][1] for p in parts], 2),
+    )
+
+
+@SEEDED_PARTS
+def test_closedness_matches_reference_seeded_symplectic_pairs(parts, rng):
+    c, w0 = _seeded_pair_base(parts)
     algebra = LieAlgebra.from_tensor(c)
     n = algebra.dim
     for _ in range(5):
-        w1, w2 = (
-            TwoForm(rng.uniform(1.0, 2.0) * w0 + _exact_form(c, rng.standard_normal(n)))
-            for _ in range(2)
-        )
+        w1, w2 = (_seeded_symplectic_form(c, w0, rng) for _ in range(2))
         assert is_symplectic(algebra, w1) and is_symplectic(algebra, w2)
         t = build_tangent(algebra, random_spd_metric(rng, n), random_spd_metric(rng, n))
         residuals = _assert_matches_reference(t, lift_symplectic(t, w1, w2))
@@ -308,3 +335,42 @@ def test_closedness_matches_reference_seeded_symplectic_pairs(parts, rng):
         lifted = lift_symplectic(t, TwoForm(m1 - m1.T), TwoForm(m2 - m2.T), check=False)
         residuals = _assert_matches_reference(t, lifted)
         assert min(residuals[p] for p in ("ccc", "ccv", "cvc", "vcc")) > 1e-3
+        assert all(residuals[p] == 0.0 for p in ZERO_PATTERNS)
+
+
+# ---------------------------------------------------------------------------
+# is_symplectic judges relative to the size of the form and the bracket
+# ---------------------------------------------------------------------------
+
+SCALES = 10.0 ** np.arange(-12, 13, 3)
+
+
+def _assert_scale_free(c, w, expected):
+    for s in SCALES:
+        assert is_symplectic(LieAlgebra.from_tensor(c), TwoForm(s * w)) is expected, s
+        assert is_symplectic(LieAlgebra.from_tensor(s * c), TwoForm(w)) is expected, s
+
+
+@pytest.mark.parametrize("name", ["aff1", "abelian2"])
+def test_is_symplectic_scale_free_catalog_forms(name):
+    problem = catalog_algebra(name)
+    for form in ("w1", "w2"):
+        _assert_scale_free(problem.algebra().c, problem.two_form(form).w, True)
+
+
+@SEEDED_PARTS
+def test_is_symplectic_scale_free_seeded_pairs(parts, rng):
+    c, w0 = _seeded_pair_base(parts)
+    for _ in range(5):
+        _assert_scale_free(c, _seeded_symplectic_form(c, w0, rng).w, True)
+
+
+def test_is_symplectic_scale_free_non_closed_and_degenerate():
+    # e^X^e^Y + e^Z^e^T is nondegenerate but not closed on h3+R
+    # (de^Z = -e^X^e^Y); e^X^e^Z is closed but has rank 2
+    non_closed = np.zeros((4, 4))
+    non_closed[0, 1], non_closed[2, 3] = 1.0, 1.0
+    degenerate = np.zeros((4, 4))
+    degenerate[0, 2] = 1.0
+    for w in (non_closed, degenerate):
+        _assert_scale_free(H3R, w - w.T, False)
