@@ -420,18 +420,27 @@ def structure_constant_curvature_blocks(
     Keys name the lift types of the three arguments ("v" vertical
     normalized, "c" complete); values are (n, n, n, n) coefficient arrays
     on the single output block each formula produces (complete for
-    "ccc", "vvc", "vcv"; vertical for "ccv", "vcc", "vvv").  The "vvc"
-    and "vcv" expansions are kept in their original form even though two
-    of their lambda-ratio prefactors are inconsistent with the bracket
-    tables; they exist for deviation reporting, never as a source of
-    truth.  Each term is a sum over one index l, formed as one
+    "ccc", "vvc", "vcv"; vertical for "ccv", "vcc", "vvv").  Every block
+    is built from the four Christoffel patterns and the brackets c and
+    [Vi, Cj].  Each term is a sum over one index l, formed as one
     (n^2, n) x (n, n^2) matrix product; a term that is another with i and
     j exchanged is read off that product transposed.
+
+    Erratum.  Two of the paper's lambda-ratio prefactors contradict its
+    bracket tables.  The first factor of the first term of vvc weighs
+    c_jk^l by sqrt(lambda_l / lambda_k), where the (V, C) pattern v
+    weighs it by sqrt(lambda_l / lambda_j); that of vcv weighs c_jk^l by
+    sqrt(lambda_l / lambda_j), where the (C, V) pattern a weighs it by
+    sqrt(lambda_l / lambda_k); and the nabla_[Vi, Cj] term of vcv is
+    weighted sqrt(lambda_k / lambda_i), where [Vi, Cj] gives
+    sqrt(lambda_l / lambda_i).  As printed, vvc and vcv missed the
+    curvature by 0.21 and 0.21 on solvable_rr2 and by 0.21 and 0.44 on
+    aff1, and vcv missed it by 0.10 on heisenberg.  With the tables'
+    prefactors they are the blocks below, within rounding of the Koszul
+    curvature.
     """
     n = t.dim
     c = t.base.c
-    sl = t.phi_data.sqrt_lambdas
-    isl = 1.0 / sl
 
     def outer(x, y):  # sum_l x[j,k,l] y[i,l,h] at [i,j,k,h]
         prod = x.reshape(n * n, n) @ y.transpose(1, 0, 2).reshape(n, n * n)
@@ -453,22 +462,12 @@ def structure_constant_curvature_blocks(
     v = gamma2[:n, n:, :n]  # vc -> v
     w = gamma2[:n, :n, n:]  # vv -> c
     brv = t.lifted.c[:n, n:, :n]  # [Vi, Cj] coefficients
-    # g1f[j,k,l]: first factor of vvc, with the original r_lk prefactor
-    # where the bracket table would give r_lj; a5: first factor of vcv,
-    # with the original r_lj where the table would give r_lk
-    g1f = (sl * isl[:, None]) * c - (sl[:, None, None] * isl) * c.transpose(2, 0, 1)
-    a5 = (sl * isl[:, None, None]) * c + (sl[:, None] * isl) * c.transpose(1, 2, 0)
     return {
         "ccc": 0.25 * (skew(outer(p, p)) - 2.0 * inner(c, p)),
         "ccv": 0.25 * (skew(outer(a, a)) - 2.0 * inner(c, a)),
         "vcc": 0.25 * (outer(p, v) - swap(outer(v, a)) - 2.0 * inner(brv, v)),
-        "vvc": 0.25 * (outer(g1f, w) - swap(outer(v, w))),
-        # sqrt(lambda_k / lambda_i) c[i,j,l] w[l,k,h], the weights folded into the factors
-        "vcv": 0.25 * (
-            outer(a5, w)
-            - swap(outer(w, p))
-            - 2.0 * inner(isl[:, None, None] * c, sl[:, None] * w)
-        ),
+        "vvc": 0.25 * skew(outer(v, w)),
+        "vcv": 0.25 * (outer(a, w) - swap(outer(w, p)) - 2.0 * inner(brv, w)),
         "vvv": 0.25 * skew(outer(w, v)),
     }
 

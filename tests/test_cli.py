@@ -249,8 +249,11 @@ def test_curvature_compare_blocks(capsys):
     )
     assert code == 0
     dev = report["result"]["block_deviations"]
-    assert dev["ccc"] <= 1e-8 and dev["vvv"] <= 1e-8
     assert set(dev) == {"ccc", "ccv", "vcc", "vvc", "vcv", "vvv"}
+    rows = [row for row in report["checks"] if row["name"].startswith("block_")]
+    assert [row["name"] for row in rows] == [f"block_{key}_vs_oracle" for key in dev]
+    assert all(row["passed"] is True for row in rows)
+    assert max(dev.values()) <= 1e-15
 
 
 def test_check_command(capsys):
