@@ -13,7 +13,9 @@ connection, the curvature, its invariant residuals and the block
 deviations.  Their rewrites round in the same order, so each must equal
 its reference bit for bit, on the catalog, on seeded pairs at dimension
 4 and 6 and on the three base algebras of dimension 12 of the lift
-benchmark.  So must ``levi_civita`` on the frame metrics I and
+benchmark; the lifted curvature keeps only the 8 blocks its Z2 grading
+allows, and the full tensor it assembles is the ungraded product.  So
+must ``levi_civita`` on the frame metrics I and
 diag(lambda), where each one-slot product sums a single nonzero term,
 and the structure-constant connection, which is ``levi_civita`` of the
 lift, against the paper's four lambda-weighted sums written out; under a
@@ -50,6 +52,7 @@ from tanglie.lie_core import (
     pullback_metric,
 )
 from tanglie.metric_geometry import (
+    Connection,
     CurvatureTensor,
     MetricLieAlgebra,
     _basis_sectionals,
@@ -610,12 +613,67 @@ def test_lift_rewrites_equal_their_references(lift_case):
     want = ref_structure_constant_connection(t)
     assert lifted_connection_structure_constants(t).gamma.tobytes() == want.tobytes()
     riem = lifted_curvature(t)
+    assert riem.classes == 2  # the invariants and deviations below read the 8 blocks
     assert np.array_equal(riem.r, ref_full_tensor_curvature(t.lifted.c, gamma))
     raw = tangent_algebra_unnormalized(t.input_algebra).c
     assert raw.tobytes() == ref_unnormalized_lift(t.input_algebra.c).tobytes()
     mla = t.lifted_mla()
     assert curvature_invariant_defects(mla, riem) == ref_invariant_defects(riem.r, mla.metric.g)
     assert curvature_block_deviations(t, riem) == ref_block_deviations(t, riem)
+
+
+def _odd_blocks(r, n):
+    """The 8 blocks of a (2n)^4 lift tensor that the Z2 grading forbids."""
+    r8 = r.reshape(2, n, 2, n, 2, n, 2, n)
+    return [r8[a, :, b, :, c, :, 1 ^ a ^ b ^ c, :] for a, b, c in itertools.product((0, 1), repeat=3)]
+
+
+def test_graded_curvature_is_the_full_product(lift_case):
+    # the 8 blocks hold the nonzero terms of the full product in its order,
+    # so the assembled tensor is the ungraded curvature byte for byte, and
+    # exactly 0 off the grading
+    t = lift_case
+    riem = lifted_curvature(t)
+    blocks = riem.blocks
+    assert blocks.shape == (2, 2, 2) + (t.dim,) * 4
+    assert riem.r is riem.r and not riem.r.flags.writeable
+    assert riem.blocks.tobytes() == blocks.tobytes()  # now gathered from r
+    full = curvature(t.lifted_mla(), lifted_connection_closed_form(t))
+    assert full.classes == 1
+    assert riem.r.tobytes() == full.r.tobytes()
+    assert not any(block.any() for block in _odd_blocks(riem.r, t.dim))
+
+
+@pytest.mark.parametrize("n", [25, 35])
+def test_graded_curvature_within_rounding_at_large_n(n):
+    # at 2n = 50 and 70 the full product sums its 2n terms, n of them exact
+    # zeros, in another blocking than the graded one sums its n: measured
+    # 4.4e-16 and 9.0e-17 of max|R|.  The odd blocks stay exactly 0.
+    rng = np.random.default_rng(n)
+    m = (n - 1) // 2
+    algebra = LieAlgebra.from_tensor(tensor(n, [(i, m + i, n - 1, 1.0) for i in range(m)]))
+    t = build_tangent(algebra, random_spd_metric(rng, n), random_spd_metric(rng, n))
+    blocks = lifted_curvature(t).blocks
+    full = curvature(t.lifted_mla(), lifted_connection_closed_form(t)).r
+    assert not any(block.any() for block in _odd_blocks(full, n))
+    r8 = full.reshape(2, n, 2, n, 2, n, 2, n)
+    scale = np.max(np.abs(full))
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        gap = np.max(np.abs(r8[a, :, b, :, c, :, a ^ b ^ c, :] - blocks[a, b, c]))
+        assert gap <= 1e-14 * scale, (a, b, c)
+
+
+def test_graded_curvature_refuses_an_ungraded_connection():
+    t = _lift_tangent("catalog:heisenberg")
+    gamma = np.array(lifted_connection_closed_form(t).gamma)
+    gamma[0, 1, 2] = 1e-300  # [V, V] lands in C, so (V, V) -> V is off the grading
+    with pytest.raises(PreconditionViolated, match="connection"):
+        curvature(t.lifted_mla(), Connection(gamma), graded=True)
+    riem = lifted_curvature(t)
+    g = np.eye(6)
+    g[0, 3] = g[3, 0] = 0.5  # pairs V_1 with X_1^c
+    with pytest.raises(PreconditionViolated, match="metric"):
+        curvature_invariant_defects(MetricLieAlgebra(t.lifted, Metric(g)), riem)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -871,6 +929,17 @@ def test_invariant_defects_keep_a_nan():
     deviations = curvature_block_deviations(t, riem)
     assert np.isnan(deviations["vcc"]) and np.isnan(deviations["vvc"])
     assert not np.isnan(deviations["ccc"])
+
+
+def test_block_deviations_report_an_entry_off_the_grading():
+    # a tensor built from a full r is cut into the graded blocks, and what
+    # it holds off them counts against the formula whose fiber it is in
+    t = _lift_tangent("catalog:heisenberg")
+    graded = curvature_block_deviations(t, lifted_curvature(t))
+    r = np.array(lifted_curvature(t).r)
+    r[0, 1, 2, 3] = 0.125  # (V, V, V) -> C; the vvv formula lands in V
+    deviations = curvature_block_deviations(t, CurvatureTensor(r))
+    assert deviations == {**graded, "vvv": 0.125}
 
 
 def test_connections_are_derived_once_per_tangent():

@@ -9,12 +9,17 @@ more call, in MiB as ``tracemalloc`` counts it, are printed as JSON, one
 object per n.  Only public library functions are timed, so two checkouts
 compare stage by stage.  The two connection stages are the closed form
 and ``levi_civita`` of the lift, the route of the structure-constant
-sums.  The two plane stages take the sectional curvature of one seeded
-plane on a tangent whose closed form is already derived:
+sums.  The curvature stages work on a tangent whose closed form is
+already derived: ``curvature`` is ``lifted_curvature``, ``curvature_r``
+is the same call followed by a read of its full (2n)^4 tensor ``.r``,
+which a graded tensor assembles on demand, and the invariant, block and
+deviation stages and ``lifted_sectional_riem`` reuse one curvature tensor.
+The two plane stages take the sectional curvature of one seeded plane:
 ``lifted_sectional`` from the connection, ``lifted_sectional_riem`` from
-the curvature tensor.  The curvature stages and ``lifted_sectional_riem``
-work on the curvature, a (2n)^4 tensor; where that tensor would take more
-than ``TENSOR_BUDGET`` bytes they are skipped and printed as null.
+the curvature tensor.  The stages on the curvature tensor are skipped and
+printed as null where its 8 stored n^4 blocks would take more than
+``TENSOR_BUDGET`` bytes, and ``curvature_r`` also where the full tensor
+would.
 
 Usage (from anywhere)::
 
@@ -36,13 +41,14 @@ import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-TENSOR_BUDGET = 2**30  # bytes of one (2n)^4 float64 tensor: n = 51 fits, n = 71 does not
+TENSOR_BUDGET = 2**30  # bytes of 8 n^4 float64 blocks: n = 63 fits, n = 65 does not
 STAGES = (
     "build_tangent",
     "lifted_connection_closed_form",
     "levi_civita",
     "lifted_sectional",
     "curvature",
+    "curvature_r",
     "curvature_invariant_defects",
     "curvature_blocks",
     "curvature_block_deviations",
@@ -71,23 +77,25 @@ def ladder(sizes, repeat) -> dict:
         g1, g2 = mg.random_spd_metric(rng, n), mg.random_spd_metric(rng, n)
         u, v = rng.standard_normal((2, 2 * n))
         warm = tl.build_tangent(algebra, g1, g2)
-        conn = tl.lifted_connection_closed_form(warm)
+        tl.lifted_connection_closed_form(warm)
         stages = {  # each takes a tangent on which nothing is derived yet
             "build_tangent": lambda t: tl.build_tangent(algebra, g1, g2),
             "lifted_connection_closed_form": tl.lifted_connection_closed_form,
             "levi_civita": lambda t: mg.levi_civita(t.lifted_mla()),
             "lifted_sectional": lambda t: tl.lifted_sectional(warm, u, v),
         }
-        if 8 * (2 * n) ** 4 <= TENSOR_BUDGET:
-            riem = mg.curvature(warm.lifted_mla(), conn)
+        if 8 * 8 * n**4 <= TENSOR_BUDGET:
+            riem = tl.lifted_curvature(warm)
             stages.update({
-                "curvature": lambda t: mg.curvature(t.lifted_mla(), conn),
+                "curvature": lambda t: tl.lifted_curvature(warm),
                 "curvature_invariant_defects": lambda t: mg.curvature_invariant_defects(
                     t.lifted_mla(), riem),
                 "curvature_blocks": tl.structure_constant_curvature_blocks,
                 "curvature_block_deviations": lambda t: tl.curvature_block_deviations(t, riem),
                 "lifted_sectional_riem": lambda t: tl.lifted_sectional(warm, u, v, riem),
             })
+        if 8 * (2 * n) ** 4 <= TENSOR_BUDGET:
+            stages["curvature_r"] = lambda t: tl.lifted_curvature(warm).r
         best = {name: float("inf") for name in stages}
         for _ in range(repeat):
             for name, stage in stages.items():
