@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,8 @@ class Metric:
 
     Construction validates symmetry (within ``EPS_SYM``) and positive
     definiteness (every Cholesky pivot above ``EPS_PD``), then stores the
-    exactly symmetrized matrix.
+    exactly symmetrized matrix.  The inverse is computed on the first call
+    of :meth:`inv` and kept, read-only, on the instance.
     """
 
     g: np.ndarray = field(repr=False)
@@ -147,11 +149,43 @@ class Metric:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
+        inv = self.__dict__.get("_inv")
+        if inv is None:
+            inv = _freeze(np.linalg.inv(self.g))
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
     @classmethod
+    def diagonal(cls, d) -> "Metric":
+        """The metric diag(d), validated on d alone.
+
+        It refuses exactly what ``Metric(np.diag(d))`` refuses, with the
+        same error: a non-finite entry, or a Cholesky pivot not above
+        ``EPS_PD``.  A diagonal matrix is symmetric, and the smallest of its
+        Cholesky pivots is sqrt(min d) where min d > 0.
+        """
+        d = np.asarray(d, dtype=float)
+        if d.ndim != 1:
+            raise InvalidDimension(f"diagonal must be a vector, got shape {d.shape}")
+        if not np.isfinite(d).all():
+            raise NonPositiveDefinite("metric has non-finite entries")
+        low = d.min()
+        if not low > 0:
+            raise NonPositiveDefinite("metric is not positive-definite")
+        pivot = np.sqrt(low) ** 2
+        if pivot <= EPS_PD:
+            raise NonPositiveDefinite(
+                f"smallest Cholesky pivot {pivot:.3e} not above {EPS_PD:.1e}"
+            )
+        metric = cls.__new__(cls)
+        object.__setattr__(metric, "g", _freeze(np.diag(d)))
+        return metric
+
+    @classmethod
+    @functools.lru_cache
     def identity(cls, dim: int) -> "Metric":
-        return cls(np.eye(dim))
+        """The identity metric: one shared, read-only instance per dimension."""
+        return cls.diagonal(np.ones(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -267,5 +301,10 @@ def change_basis_constants(algebra: LieAlgebra, b, labels=None) -> LieAlgebra:
         raise InvalidDimension(f"basis-change shape {b.shape}, algebra dim {n}")
     if np.linalg.matrix_rank(b) < n:
         raise SingularMap("basis change must be invertible")
-    d = _pull_back(algebra.c, b, b, np.linalg.inv(b).T)
+    return _rebased(algebra, b, np.linalg.inv(b), labels)
+
+
+def _rebased(algebra: LieAlgebra, b: np.ndarray, b_inv: np.ndarray, labels=None) -> LieAlgebra:
+    """:func:`change_basis_constants` for a basis change b already known invertible."""
+    d = _pull_back(algebra.c, b, b, b_inv.T)
     return LieAlgebra.from_tensor(d, labels or algebra.basis_labels)

@@ -56,7 +56,7 @@ class TwoForm:
 def _cocycle_tensor(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cyclic sum w([X_i,X_j],X_k) + w([X_j,X_k],X_i) + w([X_k,X_i],X_j)."""
     t = np.einsum("ijm,mk->ijk", c, w)  # w([X_i, X_j], X_k)
-    return t + np.einsum("jki->ijk", t) + np.einsum("kij->ijk", t)
+    return t + t.transpose(2, 0, 1) + t.transpose(1, 2, 0)  # t[j, k, i] and t[k, i, j]
 
 
 def cocycle_defect(algebra: LieAlgebra, form: TwoForm) -> float:

@@ -11,7 +11,12 @@ by normalized vertical lifts together with complete lifts,
 with X_i running over B1.  In B1 the base metrics are g1 = I and
 g2 = diag(lambda) by definition, and the library stores them that way,
 never as the congruences B1^T g B1, so the metrics carry no rounding
-beyond the eigen-solve that finds B1.  In this frame the lifted metric
+beyond the eigen-solve that finds B1.  What the frame fixes is derived
+once: the two identities are the shared ``Metric.identity`` of their
+dimension, diag(lambda) is checked on lambda alone, each metric keeps
+its inverse, and B1^-1 is computed once per eigenbasis and serves the
+basis change and every complete and vertical lift.  In this frame the
+lifted metric
 
     gt(X^c, Y^c) = g1(X, Y),  gt(X^v, Y^v) = g2(X, Y),  gt(X^c, Y^v) = 0
 
@@ -71,9 +76,10 @@ from .lie_core import (
     EPS_JACOBI,
     LieAlgebra,
     Metric,
+    _freeze,
     _jacobi_sum,
+    _rebased,
     bracket,
-    change_basis_constants,
 )
 from .metric_geometry import (
     Connection,
@@ -99,6 +105,8 @@ class PhiData:
     ``b1`` holds the g1-orthonormal eigenvectors as columns, ordered by
     ascending eigenvalue ``lambdas``.  In that frame phi is diag(lambdas),
     g1 is the identity and g2 is diag(lambdas), exactly and by definition.
+    ``b1_inv`` is derived from ``b1`` on its first read, so a copy made by
+    ``dataclasses.replace`` derives its own.
     """
 
     lambdas: np.ndarray
@@ -107,6 +115,10 @@ class PhiData:
     @property
     def sqrt_lambdas(self) -> np.ndarray:
         return np.sqrt(self.lambdas)
+
+    @functools.cached_property
+    def b1_inv(self) -> np.ndarray:
+        return _freeze(np.linalg.inv(self.b1))
 
 
 CLUSTER_TOL = 1e-8  # relative eigenvalue gap within one eigenspace
@@ -230,9 +242,8 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     n = algebra.dim
     phi_data = compute_phi(g1, g2)
     b1 = phi_data.b1
-    base = change_basis_constants(
-        algebra, b1, _eigenbasis_labels(b1, algebra.basis_labels)
-    )
+    # B1 is g1-orthonormal, so invertible: no rank check
+    base = _rebased(algebra, b1, phi_data.b1_inv, _eigenbasis_labels(b1, algebra.basis_labels))
 
     sl = phi_data.sqrt_lambdas
     lifted = LieAlgebra.from_tensor(_lifted_bracket(base.c, sl), _lift_labels(base.basis_labels))
@@ -247,7 +258,7 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
         phi_data=phi_data,
         base=base,
         base_g1=Metric.identity(n),
-        base_g2=Metric(np.diag(phi_data.lambdas)),
+        base_g2=Metric.diagonal(phi_data.lambdas),
         lifted=lifted,
         lifted_metric=Metric.identity(2 * n),
     )
@@ -300,11 +311,15 @@ def tangent_algebra_unnormalized(algebra: LieAlgebra) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_coordinates(t: TangentLieAlgebra, x) -> np.ndarray:
+    """Coordinates in B1 of x, given in input coordinates."""
+    return t.phi_data.b1_inv @ t.input_algebra.vector(x)
+
+
 def complete_lift(t: TangentLieAlgebra, x) -> np.ndarray:
     """Coefficients of X^c in the normalized lift basis; x in input coordinates."""
-    a = np.linalg.solve(t.phi_data.b1, t.input_algebra.vector(x))
     u = np.zeros(2 * t.dim)
-    u[t.dim :] = a
+    u[t.dim :] = _eigen_coordinates(t, x)
     return u
 
 
@@ -314,9 +329,8 @@ def vertical_lift(t: TangentLieAlgebra, x) -> np.ndarray:
     X^v expands as sum_i a_i sqrt(lambda_i) (X_i^v / sqrt(lambda_i)), so
     the stored components carry the sqrt(lambda) weights.
     """
-    a = np.linalg.solve(t.phi_data.b1, t.input_algebra.vector(x))
     u = np.zeros(2 * t.dim)
-    u[: t.dim] = a * t.phi_data.sqrt_lambdas
+    u[: t.dim] = _eigen_coordinates(t, x) * t.phi_data.sqrt_lambdas
     return u
 
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from tanglie.cli_io import catalog_algebra
-from tanglie.errors import InvalidDimension, SingularMap
+from tanglie.errors import InvalidDimension, NonPositiveDefinite, SingularMap
 from tanglie.lie_core import (
     LieAlgebra,
     Metric,
@@ -320,3 +320,42 @@ def test_metric_rejects_non_finite_entry(bad):
     g[1, 1] = bad
     with pytest.raises(NonPositiveDefinite):
         Metric(g)
+
+
+# ---------------------------------------------------------------------------
+# diagonal and identity metrics, and the kept inverse
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, 1e-13])
+def test_diagonal_refuses_what_the_dense_metric_refuses(bad):
+    d = np.array([2.0, bad, 1.0])
+    with pytest.raises(NonPositiveDefinite) as dense:
+        Metric(np.diag(d))
+    with pytest.raises(NonPositiveDefinite) as diagonal:
+        Metric.diagonal(d)
+    assert type(diagonal.value) is type(dense.value)
+
+
+@pytest.mark.parametrize("d", [[2.0, 1e-11, 1.0], np.logspace(8, -8, 12)])
+def test_diagonal_stores_what_the_dense_metric_stores(d):
+    assert Metric.diagonal(d).g.tobytes() == Metric(np.diag(d)).g.tobytes()
+
+
+def test_identity_is_shared_and_read_only():
+    g = Metric.identity(4)
+    assert Metric.identity(4) is g
+    npt.assert_array_equal(g.g, np.eye(4))
+    for a in (g.g, g.inv()):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+
+
+def test_inverse_is_kept_and_exact(rng):
+    from tanglie.metric_geometry import random_spd_metric
+
+    g = random_spd_metric(rng, 5)
+    inv = g.inv()
+    assert g.inv() is inv
+    assert inv.tobytes() == np.linalg.inv(g.g).tobytes()
+    assert not inv.flags.writeable

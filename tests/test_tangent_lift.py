@@ -1,5 +1,6 @@
 """Tangent algebra construction and all lifted closed forms vs the oracle."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from tanglie.lie_core import (
     Metric,
     bracket,
     center,
+    change_basis_constants,
     is_automorphism,
     jacobi_defect,
 )
@@ -225,6 +227,30 @@ def test_tiny_eigenvalue_is_rejected():
         build_tangent(algebra, Metric(1e4 * np.eye(3)), Metric(1e-9 * np.eye(3)))
 
 
+def test_tiny_eigenvalue_of_a_valid_pair_is_rejected():
+    # both metrics are valid, but lambda = 1e-17 makes g2 = diag(lambda) invalid
+    algebra = catalog_algebra("heisenberg").algebra()
+    g1, g2 = Metric(1e6 * np.eye(3)), Metric(1e-11 * np.eye(3))
+    with pytest.raises(NonPositiveDefinite):
+        build_tangent(algebra, g1, g2)
+
+
+def test_b1_inv_follows_replace(rng):
+    phi = _random_tangent("solvable_rr2", rng).phi_data
+    assert phi.b1_inv.tobytes() == np.linalg.inv(phi.b1).tobytes()
+    b1 = phi.b1.copy()
+    b1[:, [0, 1]] = b1[:, [1, 0]]
+    swapped = dataclasses.replace(phi, b1=b1)
+    assert swapped.b1_inv.tobytes() == np.linalg.inv(b1).tobytes()
+    assert swapped.b1_inv.tobytes() != phi.b1_inv.tobytes()
+
+
+def test_frame_base_is_the_public_basis_change(rng):
+    for t in _seeded_tangents(rng):
+        base = change_basis_constants(t.input_algebra, t.phi_data.b1)
+        assert t.base.c.tobytes() == base.c.tobytes()
+
+
 def test_lifted_bracket_relations(catalog_problem, rng):
     """[x^c, y^c] = [x,y]^c, [x^c, y^v] = [x,y]^v, [x^v, y^v] = 0."""
     algebra = catalog_problem.algebra()
@@ -285,6 +311,28 @@ def test_lift_decomposition_round_trip(catalog_problem, rng):
         xr, yr = lift_components(t, u)
         npt.assert_allclose(xr, x, atol=1e-10)
         npt.assert_allclose(yr, y, atol=1e-10)
+
+
+def test_lift_components_recover_lifts(rng):
+    # B1^-1 is within n eps cond(B1) of exact, and B1 maps the coordinates back
+    ill = build_tangent(
+        _direct_sum("heisenberg", "heisenberg", "heisenberg", "abelian3"),
+        Metric.identity(12),
+        Metric(np.diag(np.logspace(8, -8, 12))),
+    )
+    for t in _seeded_tangents(rng) + [ill]:
+        n = t.dim
+        bound = n * np.finfo(float).eps * np.linalg.cond(t.phi_data.b1)
+        for _ in range(5):
+            x, y = rng.standard_normal((2, n))
+            scale = bound * max(np.abs(x).max(), np.abs(y).max())
+            for u, want in (
+                (complete_lift(t, x), (x, 0.0)),
+                (vertical_lift(t, y), (0.0, y)),
+                (complete_lift(t, x) + vertical_lift(t, y), (x, y)),
+            ):
+                for got, exact in zip(lift_components(t, u), want):
+                    assert np.abs(got - exact).max() <= scale
 
 
 # ---------------------------------------------------------------------------
