@@ -156,36 +156,10 @@ class Metric:
         return inv
 
     @classmethod
-    def diagonal(cls, d) -> "Metric":
-        """The metric diag(d), validated on d alone.
-
-        It refuses exactly what ``Metric(np.diag(d))`` refuses, with the
-        same error: a non-finite entry, or a Cholesky pivot not above
-        ``EPS_PD``.  A diagonal matrix is symmetric, and the smallest of its
-        Cholesky pivots is sqrt(min d) where min d > 0.
-        """
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 1:
-            raise InvalidDimension(f"diagonal must be a vector, got shape {d.shape}")
-        if not np.isfinite(d).all():
-            raise NonPositiveDefinite("metric has non-finite entries")
-        low = d.min()
-        if not low > 0:
-            raise NonPositiveDefinite("metric is not positive-definite")
-        pivot = np.sqrt(low) ** 2
-        if pivot <= EPS_PD:
-            raise NonPositiveDefinite(
-                f"smallest Cholesky pivot {pivot:.3e} not above {EPS_PD:.1e}"
-            )
-        metric = cls.__new__(cls)
-        object.__setattr__(metric, "g", _freeze(np.diag(d)))
-        return metric
-
-    @classmethod
     @functools.lru_cache
     def identity(cls, dim: int) -> "Metric":
         """The identity metric: one shared, read-only instance per dimension."""
-        return cls.diagonal(np.ones(dim))
+        return cls(np.eye(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +262,22 @@ def pullback_metric(metric: Metric, tau) -> Metric:
     return Metric(0.5 * (pulled + pulled.T))
 
 
-def change_basis_constants(algebra: LieAlgebra, b, labels=None) -> LieAlgebra:
+def change_basis_constants(algebra: LieAlgebra, b, labels=None, b_inv=None) -> LieAlgebra:
     """Structure constants of the same algebra in a new basis.
 
     Columns of ``b`` are the new basis vectors in old coordinates.  For a
     diagonal rescaling ``b = diag(1/sqrt(lambda_i))`` the new constants are
-    ``sqrt(lambda_k / (lambda_i lambda_j))`` times the old ones.
+    ``sqrt(lambda_k / (lambda_i lambda_j))`` times the old ones.  A caller
+    that already holds the inverse of ``b`` passes it as ``b_inv``; ``b`` is
+    then taken as invertible, with no rank check.
     """
     b = np.asarray(b, dtype=float)
     n = algebra.dim
     if b.shape != (n, n):
         raise InvalidDimension(f"basis-change shape {b.shape}, algebra dim {n}")
-    if np.linalg.matrix_rank(b) < n:
-        raise SingularMap("basis change must be invertible")
-    return _rebased(algebra, b, np.linalg.inv(b), labels)
-
-
-def _rebased(algebra: LieAlgebra, b: np.ndarray, b_inv: np.ndarray, labels=None) -> LieAlgebra:
-    """:func:`change_basis_constants` for a basis change b already known invertible."""
+    if b_inv is None:
+        if np.linalg.matrix_rank(b) < n:
+            raise SingularMap("basis change must be invertible")
+        b_inv = np.linalg.inv(b)
     d = _pull_back(algebra.c, b, b, b_inv.T)
     return LieAlgebra.from_tensor(d, labels or algebra.basis_labels)

@@ -13,10 +13,9 @@ g2 = diag(lambda) by definition, and the library stores them that way,
 never as the congruences B1^T g B1, so the metrics carry no rounding
 beyond the eigen-solve that finds B1.  What the frame fixes is derived
 once: the two identities are the shared ``Metric.identity`` of their
-dimension, diag(lambda) is checked on lambda alone, each metric keeps
-its inverse, and B1^-1 is computed once per eigenbasis and serves the
-basis change and every complete and vertical lift.  In this frame the
-lifted metric
+dimension, each metric keeps its inverse, and B1^-1 is computed once per
+eigenbasis and serves the basis change and every complete and vertical
+lift.  In this frame the lifted metric
 
     gt(X^c, Y^c) = g1(X, Y),  gt(X^v, Y^v) = g2(X, Y),  gt(X^c, Y^v) = 0
 
@@ -78,8 +77,8 @@ from .lie_core import (
     Metric,
     _freeze,
     _jacobi_sum,
-    _rebased,
     bracket,
+    change_basis_constants,
 )
 from .metric_geometry import (
     Connection,
@@ -105,8 +104,8 @@ class PhiData:
     ``b1`` holds the g1-orthonormal eigenvectors as columns, ordered by
     ascending eigenvalue ``lambdas``.  In that frame phi is diag(lambdas),
     g1 is the identity and g2 is diag(lambdas), exactly and by definition.
-    ``b1_inv`` is derived from ``b1`` on its first read, so a copy made by
-    ``dataclasses.replace`` derives its own.
+    ``b1`` is read-only, and ``b1_inv`` is derived from it on its first
+    read, so a copy made by ``dataclasses.replace`` derives its own.
     """
 
     lambdas: np.ndarray
@@ -170,7 +169,7 @@ def compute_phi(g1: Metric, g2: Metric) -> PhiData:
         b1[:, start:stop] = np.column_stack(cols)
         start = stop
 
-    return PhiData(lambdas=lam.copy(), b1=b1)
+    return PhiData(lambdas=lam.copy(), b1=_freeze(b1))
 
 
 def _eigenbasis_labels(b1: np.ndarray, labels: tuple[str, ...]) -> tuple[str, ...]:
@@ -243,7 +242,9 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
     phi_data = compute_phi(g1, g2)
     b1 = phi_data.b1
     # B1 is g1-orthonormal, so invertible: no rank check
-    base = _rebased(algebra, b1, phi_data.b1_inv, _eigenbasis_labels(b1, algebra.basis_labels))
+    base = change_basis_constants(
+        algebra, b1, _eigenbasis_labels(b1, algebra.basis_labels), phi_data.b1_inv
+    )
 
     sl = phi_data.sqrt_lambdas
     lifted = LieAlgebra.from_tensor(_lifted_bracket(base.c, sl), _lift_labels(base.basis_labels))
@@ -258,7 +259,7 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
         phi_data=phi_data,
         base=base,
         base_g1=Metric.identity(n),
-        base_g2=Metric.diagonal(phi_data.lambdas),
+        base_g2=Metric(np.diag(phi_data.lambdas)),
         lifted=lifted,
         lifted_metric=Metric.identity(2 * n),
     )

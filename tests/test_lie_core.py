@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from tanglie.cli_io import catalog_algebra
-from tanglie.errors import InvalidDimension, NonPositiveDefinite, SingularMap
+from tanglie.errors import InvalidDimension, SingularMap
 from tanglie.lie_core import (
     LieAlgebra,
     Metric,
@@ -323,23 +323,8 @@ def test_metric_rejects_non_finite_entry(bad):
 
 
 # ---------------------------------------------------------------------------
-# diagonal and identity metrics, and the kept inverse
+# the shared identity metric and the kept inverse
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, 1e-13])
-def test_diagonal_refuses_what_the_dense_metric_refuses(bad):
-    d = np.array([2.0, bad, 1.0])
-    with pytest.raises(NonPositiveDefinite) as dense:
-        Metric(np.diag(d))
-    with pytest.raises(NonPositiveDefinite) as diagonal:
-        Metric.diagonal(d)
-    assert type(diagonal.value) is type(dense.value)
-
-
-@pytest.mark.parametrize("d", [[2.0, 1e-11, 1.0], np.logspace(8, -8, 12)])
-def test_diagonal_stores_what_the_dense_metric_stores(d):
-    assert Metric.diagonal(d).g.tobytes() == Metric(np.diag(d)).g.tobytes()
 
 
 def test_identity_is_shared_and_read_only():

@@ -237,6 +237,7 @@ def test_tiny_eigenvalue_of_a_valid_pair_is_rejected():
 
 def test_b1_inv_follows_replace(rng):
     phi = _random_tangent("solvable_rr2", rng).phi_data
+    assert not phi.b1.flags.writeable
     assert phi.b1_inv.tobytes() == np.linalg.inv(phi.b1).tobytes()
     b1 = phi.b1.copy()
     b1[:, [0, 1]] = b1[:, [1, 0]]

@@ -19,13 +19,11 @@ The two plane stages take the sectional curvature of one seeded plane:
 the curvature tensor.  The stages on the curvature tensor are skipped and
 printed as null where its 8 stored n^4 blocks would take more than
 ``TENSOR_BUDGET`` bytes, and ``curvature_r`` also where the full tensor
-would.  ``--stages`` times only the stages it names and prints null for
-the others; the curvature tensor is formed only when a stage named needs it.
+would.
 
 Usage (from anywhere)::
 
     python tools/ladder.py ROOT --sizes 11,17,25 --repeat 3
-    python tools/ladder.py ROOT --sizes 51 --stages build_tangent,lifted_sectional_riem
 
 ROOT is the root of the source checkout to measure.
 """
@@ -68,16 +66,7 @@ def heisenberg(n: int) -> np.ndarray:
     return c
 
 
-TENSOR_STAGES = (
-    "curvature",
-    "curvature_invariant_defects",
-    "curvature_blocks",
-    "curvature_block_deviations",
-    "lifted_sectional_riem",
-)
-
-
-def ladder(sizes, repeat, wanted=STAGES) -> dict:
+def ladder(sizes, repeat) -> dict:
     from tanglie import metric_geometry as mg, tangent_lift as tl
     from tanglie.lie_core import LieAlgebra
 
@@ -95,7 +84,7 @@ def ladder(sizes, repeat, wanted=STAGES) -> dict:
             "levi_civita": lambda t: mg.levi_civita(t.lifted_mla()),
             "lifted_sectional": lambda t: tl.lifted_sectional(warm, u, v),
         }
-        if 8 * 8 * n**4 <= TENSOR_BUDGET and set(TENSOR_STAGES) & set(wanted):
+        if 8 * 8 * n**4 <= TENSOR_BUDGET:
             riem = tl.lifted_curvature(warm)
             stages.update({
                 "curvature": lambda t: tl.lifted_curvature(warm),
@@ -107,7 +96,6 @@ def ladder(sizes, repeat, wanted=STAGES) -> dict:
             })
         if 8 * (2 * n) ** 4 <= TENSOR_BUDGET:
             stages["curvature_r"] = lambda t: tl.lifted_curvature(warm).r
-        stages = {name: stage for name, stage in stages.items() if name in wanted}
         best = {name: float("inf") for name in stages}
         for _ in range(repeat):
             for name, stage in stages.items():
@@ -134,15 +122,10 @@ def main(argv=None) -> int:
     p.add_argument("root", help="root of the source checkout")
     p.add_argument("--sizes", default="11,17,25", help="comma-separated odd dimensions")
     p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--stages", default=",".join(STAGES), help="comma-separated stage names")
     args = p.parse_args(sys.argv[1:] if argv is None else argv)
-    wanted = args.stages.split(",")
-    unknown = sorted(set(wanted) - set(STAGES))
-    if unknown:
-        p.error(f"unknown stages {', '.join(unknown)}; choose from {', '.join(STAGES)}")
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     sizes = [int(s) for s in args.sizes.split(",")]
-    print(json.dumps(ladder(sizes, args.repeat, wanted), indent=1))
+    print(json.dumps(ladder(sizes, args.repeat), indent=1))
     return 0
 
 
