@@ -46,6 +46,7 @@ from .errors import (
     NonPositiveDefinite,
     NotSymplecticInput,
     ParseError,
+    PreconditionViolated,
     TanglieError,
     UnknownCatalogEntry,
     ValidationError,
@@ -467,11 +468,22 @@ def _fmt(x: float) -> str:
 
 
 def tensor_payload(arr: np.ndarray, convention: str) -> dict:
+    """A tensor for a report; its data stays an array until JSON output."""
     return {
         "shape": list(arr.shape),
-        "data": [float(v) for v in np.asarray(arr, dtype=float).ravel()],
+        "data": np.asarray(arr, dtype=float).ravel(),
         "index_convention": convention,
     }
+
+
+def _non_finite(val, path: str) -> str | None:
+    """Path of the first NaN or infinite number in a report value, or None."""
+    if isinstance(val, (dict, list)):
+        keys = val if isinstance(val, dict) else range(len(val))
+        return next(filter(None, (_non_finite(val[k], f"{path}.{k}") for k in keys)), None)
+    if isinstance(val, (float, np.ndarray)) and not np.all(np.isfinite(val)):
+        return path
+    return None
 
 
 class Report:
@@ -500,15 +512,16 @@ class Report:
             {"name": name, "residual": None, "tol": None, "passed": bool(passed)}
         )
 
-    def info(self, name: str, residual: float):
-        """Residual reported without a pass/fail judgement."""
-        self.checks.append(
-            {"name": name, "residual": float(residual), "tol": None, "passed": None}
-        )
-
     @property
     def passed(self) -> bool:
-        return all(c["passed"] is not False for c in self.checks)
+        return all(c["passed"] for c in self.checks)
+
+    def require_finite(self) -> None:
+        """Refuse a report that holds NaN or inf: such a number is no answer."""
+        rows = {row["name"]: row["residual"] for row in self.checks}
+        bad = _non_finite({"result": self.result, "checks": rows}, "report")
+        if bad is not None:
+            raise PreconditionViolated(f"{bad} is not finite: out of floating-point range")
 
     def to_dict(self) -> dict:
         return {
@@ -523,7 +536,7 @@ class Report:
     def emit(self, json_mode: bool) -> None:
         stream = sys.stdout
         if json_mode:
-            json.dump(self.to_dict(), stream, indent=2)
+            json.dump(self.to_dict(), stream, indent=2, default=np.ndarray.tolist)
             stream.write("\n")
             return
         stream.write(
@@ -538,7 +551,7 @@ class Report:
         if self.checks:
             stream.write("checks:\n")
             for row in self.checks:
-                status = {True: "pass", False: "FAIL", None: "info"}[row["passed"]]
+                status = "pass" if row["passed"] else "FAIL"
                 res = "" if row["residual"] is None else f"  residual {_fmt(row['residual'])}"
                 tol = "" if row["tol"] is None else f"  tol {_fmt(row['tol'])}"
                 stream.write(f"  [{status}] {row['name']}{res}{tol}\n")
@@ -594,9 +607,6 @@ def _cmd_check(args, report: Report):
             "double_bracket_residual": eq24,
             "satisfies_double_bracket_condition": bool(eq24 <= tol),
         }
-        report.info(f"metrics.{name}.bi_invariance_residual", bi)
-        report.info(f"metrics.{name}.canonical_metricity_defect", eq23)
-        report.info(f"metrics.{name}.double_bracket_residual", eq24)
     report.result = payload
 
 
@@ -613,19 +623,12 @@ def _cmd_connection(args, report: Report):
     else:
         t = _tangent(problem)
         mla = t.lifted_mla()
+        # "structconst": the paper's lambda-weighted sums, Koszul in the lift frame
         koszul = tl.lifted_connection_structure_constants(t)
-        routes = {
-            "koszul": koszul,
-            "closed": tl.lifted_connection_closed_form(t),
-            "structconst": koszul,
-        }
-        conn = routes[args.method or "koszul"]
-        for name, route in (
-            ("closed_form_vs_koszul", "closed"),
-            ("structure_constants_vs_koszul", "structconst"),
-        ):
-            gap = routes[route].gamma - routes["koszul"].gamma
-            report.check(name, float(np.max(np.abs(gap))), CHECK_TOL)
+        closed = tl.lifted_connection_closed_form(t)
+        conn = closed if args.method == "closed" else koszul
+        gap = float(np.max(np.abs(closed.gamma - koszul.gamma)))
+        report.check("closed_form_vs_koszul", gap, CHECK_TOL)
         convention = f"gamma[i,j,k] on the lift basis; {LIFT_INDEX_CONVENTION}"
     report.check("torsion_free", mg.torsion_defect(mla, conn), 1e-9)
     report.check("metric_compatible", mg.compatibility_defect(mla, conn), 1e-9)
@@ -759,7 +762,8 @@ def _cmd_equiv(args, report: Report):
     problem = report.problem
     algebra = problem.algebra()
     tau = problem.automorphism(args.tau)
-    report.check_bool("tau_is_automorphism", is_automorphism(algebra, tau))
+    if not is_automorphism(algebra, tau):
+        raise PreconditionViolated("map is not an automorphism of the algebra")
     payload = {"tau": args.tau, "defects": {}}
     for name in sorted(problem.metrics):
         mla = _base_mla(problem, name)
@@ -776,15 +780,6 @@ def _cmd_equiv(args, report: Report):
     if args.tau2:
         tau2 = problem.automorphism(args.tau2)
         big = tl.lift_automorphism(tau, tau2)
-        g1, g2 = problem.metric("g1").g, problem.metric("g2").g
-        # the raw-basis lifted metric blockdiag(g2, g1) is laid out like the maps
-        g_lift = tl.lift_automorphism(g1, g2)
-        expected = tl.lift_automorphism(tau.T @ g1 @ tau, tau2.T @ g2 @ tau2)
-        report.check(
-            "lifted_pullback_identity",
-            float(np.max(np.abs(big.T @ g_lift @ big - expected))),
-            1e-9,
-        )
         lifted_auto = is_automorphism(tl.tangent_algebra_unnormalized(algebra), big)
         payload["tau2"] = args.tau2
         payload["lifted_is_automorphism"] = lifted_auto
@@ -898,6 +893,7 @@ def run_command(argv: list[str]) -> int:
         problem = resolve_problem(args.problem)
         report = Report(argv, problem, args.tol)
         _COMMANDS[args.subcommand](args, report)
+        report.require_finite()
     except TanglieError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

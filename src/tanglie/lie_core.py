@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, NonPositiveDefinite, SingularMap
+from .errors import InvalidDimension, NonPositiveDefinite, SingularMap, ValidationError
 
 # Default tolerances.
 EPS_JACOBI = 1e-9
@@ -35,9 +35,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class LieAlgebra:
     """A real Lie algebra encoded by its structure-constant tensor.
 
-    Antisymmetry in the first two tensor slots is exact by construction:
-    both constructors symmetrize the input, so only the Jacobi identity
-    remains a nontrivial property (see :func:`jacobi_defect`).
+    Antisymmetry in the first two tensor slots is exact by construction and
+    non-finite constants are refused, so only the Jacobi identity remains a
+    nontrivial property (see :func:`jacobi_defect`).
     """
 
     dim: int
@@ -56,7 +56,10 @@ class LieAlgebra:
             raise InvalidDimension(
                 f"structure tensor shape {c.shape}, expected {(self.dim,) * 3}"
             )
-        object.__setattr__(self, "c", _freeze(0.5 * (c - c.transpose(1, 0, 2))))
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("structure constants have non-finite entries")
+        # halves first: c - c^T overflows for entries above max/2
+        object.__setattr__(self, "c", _freeze(0.5 * c - 0.5 * c.transpose(1, 0, 2)))
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     @classmethod
@@ -126,7 +129,7 @@ class Metric:
             raise NonPositiveDefinite(
                 f"metric asymmetry {np.max(np.abs(g - g.T)):.3e} exceeds {EPS_SYM:.1e}"
             )
-        g = 0.5 * (g + g.T)
+        g = 0.5 * g + 0.5 * g.T  # halves first: g + g^T overflows above max/2
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:

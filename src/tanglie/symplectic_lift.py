@@ -44,7 +44,7 @@ class TwoForm:
             raise ValidationError(
                 f"two-form asymmetry {skew_defect:.3e} exceeds {EPS_SYM:.1e}"
             )
-        w = 0.5 * (w - w.T)
+        w = 0.5 * w - 0.5 * w.T  # halves first: w - w^T overflows above max/2
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -143,14 +143,12 @@ def relative_closedness(t: TangentLieAlgebra, wt: TwoForm) -> dict[str, float]:
     """Each pattern's closedness residual over the size of its terms.
 
     By the theorem above ccc sums w1's cocycle terms and ccv, cvc and vcc
-    sum w2's, on the eigenbasis bracket.  The other four patterns, and all
-    eight on an abelian base, have no nonzero term and are reported as is.
+    sum w2's, on the eigenbasis bracket; the other four have no nonzero term
+    and are left out.  With no terms (an abelian base) a residual is as is.
     """
     n = t.dim
     raw = wt.w[n:] * np.concatenate([t.phi_data.sqrt_lambdas, np.ones(n)])  # rows X_i^c
     w2, w1 = _cocycle_scale(t.base.c, raw[:, :n]), _cocycle_scale(t.base.c, raw[:, n:])
     size = {"ccc": w1, "ccv": w2, "cvc": w2, "vcc": w2}
-    return {
-        p: r / size[p] if size.get(p) else r
-        for p, r in verify_closedness_identities(t, wt).items()
-    }
+    residual = verify_closedness_identities(t, wt)
+    return {p: residual[p] / s if s else residual[p] for p, s in size.items()}

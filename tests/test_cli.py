@@ -29,7 +29,6 @@ from tanglie.metric_geometry import (
     lie_derivative_metric,
     random_spd_metric,
 )
-from tanglie.symplectic_lift import CLOSEDNESS_PATTERNS
 from tanglie.tangent_lift import build_tangent, compute_phi, vertical_lift
 
 import tracing
@@ -40,6 +39,10 @@ def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc) if isinstance(doc, dict) else doc)
     return str(path)
+
+
+def _diag_list(*entries):
+    return np.diag(entries).tolist()
 
 
 def _heisenberg_doc():
@@ -231,16 +234,18 @@ def test_connection_lift_abelian_zero(capsys):
 
 
 def test_connection_methods_agree(capsys):
-    results = []
+    reports = {}
     for method in ("koszul", "closed", "structconst"):
-        code, report = _run_json(
+        code, reports[method] = _run_json(
             ["connection", "heisenberg", "--metric", "lift", "--method", method],
             capsys,
         )
         assert code == 0
-        results.append(np.array(report["result"]["connection"]["data"]))
-    npt.assert_allclose(results[0], results[1], atol=1e-10)
-    npt.assert_allclose(results[0], results[2], atol=1e-10)
+    data = {m: np.array(r["result"]["connection"]["data"]) for m, r in reports.items()}
+    npt.assert_allclose(data["koszul"], data["closed"], atol=1e-10)
+    # structconst is the paper's name for the Koszul route: the same tensor, bit for bit
+    assert data["structconst"].tobytes() == data["koszul"].tobytes()
+    assert reports["structconst"]["checks"] == reports["koszul"]["checks"]
 
 
 def test_curvature_compare_blocks(capsys):
@@ -354,8 +359,12 @@ def test_equiv_command(capsys):
     assert report["result"]["lifted_is_automorphism"] is True
 
 
-def test_equiv_rejects_non_automorphism(capsys):
+def test_equiv_rejects_non_automorphism(tmp_path, capsys):
     assert run_command(["equiv", "heisenberg", "--tau", "not_auto"]) == 2
+    # refused before any metric is read, so a problem without metrics too
+    doc = dict(_heisenberg_doc(), metrics={}, automorphisms={"d": _diag_list(2.0, 3.0, 1.0)})
+    assert run_command(["equiv", _write(tmp_path, "bare.json", doc), "--tau", "d"]) == 2
+    assert "PreconditionViolated: map is not an automorphism" in capsys.readouterr().err
 
 
 def test_equiv_large_automorphism_passes(tmp_path, capsys):
@@ -422,7 +431,10 @@ def test_symplectic_verdict_ignores_scale(doc, tmp_path, capsys):
     # valid symplectic pairs that absolute bounds once judged FAIL or refused
     code, report = _run_json(["symplectic", _write(tmp_path, "p.json", doc)], capsys)
     assert code == 0
-    assert [r["name"] for r in report["checks"]] == [f"closedness_{p}" for p in CLOSEDNESS_PATTERNS]
+    # only the four patterns with terms: vvv, vvc, vcv and cvv are 0 by the theorem
+    assert [r["name"] for r in report["checks"]] == [
+        f"closedness_{p}" for p in ("ccc", "ccv", "cvc", "vcc")
+    ]
     assert all(r["passed"] for r in report["checks"])
 
 
@@ -673,6 +685,33 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_report_is_refused(tmp_path, capsys):
+    # every input entry is finite, but g1 = diag(1, 1, 1e300) against a
+    # bracket of 1e10 overflows the connection and the curvature
+    doc = _heisenberg_doc()
+    doc["brackets"][0]["value"] = 1e10
+    doc["metrics"]["g1"] = _diag_list(1.0, 1.0, 1e300)
+    huge = _write(tmp_path, "huge.json", doc)
+    for argv in (
+        ["check", huge],
+        ["connection", huge, "--metric", "g1"],
+        ["curvature", huge, "--metric", "g1"],
+    ):
+        for mode in ([], ["--json"]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert run_command(argv + mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "PreconditionViolated: report." in captured.err
+            assert "is not finite" in captured.err
+    # entries up to the float maximum are kept finite, and so is the report
+    doc = catalog_algebra("aff1").to_dict()
+    doc["metrics"]["g1"] = _diag_list(1e308, 1.0)
+    code = run_command(["check", _write(tmp_path, "max.json", doc), "--json"])
+    assert code == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
 def _readme_examples() -> list[str]:
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -774,20 +813,44 @@ def test_report_digests_tool_covers_every_command(capsys):
     assert failed == sorted((argv, "2") for argv in expected)
 
 
+def test_every_report_row_is_a_verdict(capsys):
+    # no row compares a route with itself, restates a result or is 0 by construction
+    tool, _ = _tool("report_digests")
+    removed = {"structure_constants_vs_koszul", "lifted_pullback_identity", "tau_is_automorphism"}
+    removed |= {f"closedness_{p}" for p in ("vvv", "vvc", "vcv", "cvv")}
+    for argv in tool.commands():
+        code = run_command(argv + ["--json"])
+        out = capsys.readouterr().out
+        if code == 2:
+            assert out == ""
+            continue
+        rows = json.loads(out, parse_constant=_reject_constant)["checks"]
+        assert all(row["passed"] in (True, False) for row in rows), argv
+        assert not removed & {row["name"] for row in rows}, argv
+        run_command(argv)
+        text = capsys.readouterr().out
+        assert "[info]" not in text and not any(name in text for name in removed), argv
+
+
 def test_ab_pairs_counts_wins_by_direction():
     tool, _ = _tool("ab_pairs")
 
-    def run(ops, p50, failed=0):
-        metrics = {"ops_per_s": {"value": ops}, "latency_p50_ms": {"value": p50}}
+    def run(ops, p50, rss, setup, failed=0):
+        metrics = {"ops_per_s": {"value": ops}, "latency_p50_ms": {"value": p50},
+                   "peak_rss_mb": {"value": rss}, "setup_s": {"value": setup}}
         return {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics}
 
     runs = {
-        "parent": [run(10.0, 5.0), run(12.0, 4.0), run(11.0, 4.5, failed=1)],
-        "change": [run(11.0, 4.0), run(11.0, 4.5), run(13.0, 4.0, failed=1)],
+        "parent": [run(10.0, 5.0, 40.0, 1.0), run(12.0, 4.0, 40.0, 2.0),
+                   run(11.0, 4.5, 40.0, 3.0, failed=1)],
+        "change": [run(11.0, 4.0, 45.0, 0.5), run(11.0, 4.5, 44.0, 0.6),
+                   run(13.0, 4.0, 46.0, 0.7, failed=1)],
     }
     metrics = [
-        {"name": "ops_per_s", "better": "higher"},
-        {"name": "latency_p50_ms", "better": "lower"},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.1},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
     ]
     out = tool.summarize(runs, metrics)
     assert out["pairs"] == 3
@@ -795,6 +858,16 @@ def test_ab_pairs_counts_wins_by_direction():
     assert out["ops_per_s"]["change_wins"] == 2
     assert out["latency_p50_ms"]["change_wins"] == 2
     assert out["ops_per_s"]["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
+    verdicts = {
+        name: (out[name]["worse_move"], out[name]["exceeds_bound"], out[name]["unresolved"])
+        for name in ("ops_per_s", "latency_p50_ms", "peak_rss_mb", "setup_s")
+    }
+    assert verdicts == {
+        "ops_per_s": (0.0, False, False),  # parent spread 1/11 is inside 0.25
+        "latency_p50_ms": (-0.1111, False, True),  # spread 0.5/4.5 exceeds 0.1
+        "peak_rss_mb": (0.125, True, False),  # 45 against 40 moves 12.5 % the worse way
+        "setup_s": (-0.7, False, False),  # spread 0.5, but every change run is better
+    }
 
 
 def test_ladder_times_every_stage():

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from tanglie.cli_io import catalog_algebra
-from tanglie.errors import InvalidDimension, SingularMap
+from tanglie.errors import InvalidDimension, SingularMap, ValidationError
 from tanglie.lie_core import (
     LieAlgebra,
     Metric,
@@ -289,6 +289,21 @@ def test_antisymmetry_enforced_by_construction():
     algebra = LieAlgebra.from_tensor(c)
     npt.assert_allclose(algebra.c[1, 0, 1], -0.5)
     npt.assert_allclose(algebra.c[0, 1, 1], 0.5)
+
+
+def test_constructors_keep_entries_near_the_float_maximum():
+    # the halves are taken first: g + g^T and c - c^T overflow above max/2
+    npt.assert_array_equal(Metric(np.diag([1e308, 1.0])).g, np.diag([1e308, 1.0]))
+    c = LieAlgebra.from_brackets(2, {(0, 1, 1): 1e308}).c
+    assert (c[0, 1, 1], c[1, 0, 1]) == (1e308, -1e308)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_algebra_rejects_non_finite_constants(bad):
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 1], c[1, 0, 1] = bad, -bad
+    with pytest.raises(ValidationError, match="structure constants have non-finite entries"):
+        LieAlgebra.from_tensor(c)
 
 
 def test_from_brackets_requires_ordered_indices():

@@ -50,6 +50,11 @@ def test_two_form_rejects_symmetric_part():
         TwoForm(np.eye(2))
 
 
+def test_two_form_keeps_entries_near_the_float_maximum():
+    # the halves are taken first: w - w^T overflows above max/2
+    npt.assert_array_equal(TwoForm(1e308 * J2).w, 1e308 * J2)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_two_form_rejects_non_finite_entry(bad):
     w = J2.copy()

@@ -4,9 +4,13 @@ For every workload, pair k runs ``bench/run.py --seed <first seed + k>``
 once in each checkout, the parent first in even pairs and the change first
 in odd ones, so a drift of the machine falls on both sides alike.  The
 JSON printed at the end holds, per workload and end-to-end metric, each
-side's median and quartiles over its runs and the number of pairs in which
-the change reads better; metric names and directions come from the
-change's ``BENCHMARK.json``.  Progress goes to standard error.
+side's median and quartiles over its runs, the number of pairs in which
+the change reads better, the change's relative move of the median in the
+worse direction, whether that move exceeds the metric's bound, and whether
+the metric is unresolved: the parent's quartile spread, relative to its
+median, exceeds the bound and not every change run reads better than every
+parent run.  Metric names, directions and bounds come from the change's
+``BENCHMARK.json``.  Progress goes to standard error.
 
 Usage (from anywhere)::
 
@@ -51,17 +55,20 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def spread(values: list[float]) -> dict:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
-            "q3": round(q3, 4)}
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = quartiles(values)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def summarize(runs: dict, metrics: list[dict]) -> dict:
-    """Per-metric spread of each side and the change's pair wins."""
+    """Per-metric spread of each side, the change's pair wins and its verdict."""
     out = {
         "pairs": len(runs["change"]),
         "fail_share": {s: sorted({round(r["failed"] / r["attempted"], 4) for r in runs[s]})
@@ -73,8 +80,16 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
         sign = 1.0 if m["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
+        p1, parent, p3 = quartiles(vals["parent"])
+        worse = sign * (parent - statistics.median(vals["change"])) / parent
+        all_better = all(sign * (c - p) > 0 for p in vals["parent"] for c in vals["change"])
         out[name] = {s: spread(vals[s]) for s in SIDES}
-        out[name]["change_wins"] = wins
+        out[name].update(
+            change_wins=wins,
+            worse_move=round(worse, 4),
+            exceeds_bound=worse > m["bound"],
+            unresolved=(p3 - p1) / parent > m["bound"] and not all_better,
+        )
     return out
 
 
@@ -88,7 +103,10 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g} --trace 0",
         "meaning": "alternating parent/change pairs, parent first in even pairs k; median "
                    "and quartiles over the runs of each side; change_wins counts pairs "
-                   "where the change reads better",
+                   "where the change reads better; worse_move is the change's median "
+                   "move in the worse direction relative to the parent's; unresolved: the "
+                   "parent's quartile spread exceeds the bound and the change does not "
+                   "read better in every run",
     }
     for workload in args.workloads.split(","):
         runs = {s: [] for s in SIDES}
