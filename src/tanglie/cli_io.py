@@ -890,10 +890,11 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        problem = resolve_problem(args.problem)
-        report = Report(argv, problem, args.tol)
-        _COMMANDS[args.subcommand](args, report)
-        report.require_finite()
+        with np.errstate(all="ignore"):  # a number out of range is refused, not warned of
+            problem = resolve_problem(args.problem)
+            report = Report(argv, problem, args.tol)
+            _COMMANDS[args.subcommand](args, report)
+            report.require_finite()
     except TanglieError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _symmetric_part(a: np.ndarray, anti: bool = False) -> np.ndarray:
+    """Exact (anti)symmetric part of a over its first two slots, read-only.
+
+    Halves first: a + a^T and a - a^T overflow for entries above max/2.
+    """
+    half = 0.5 * a.swapaxes(0, 1)
+    return _freeze(0.5 * a - half if anti else 0.5 * a + half)
+
+
+def _checked_symmetric(a, error: type, what: str, anti: bool = False) -> np.ndarray:
+    """The exact (anti)symmetric part of a square, finite matrix a.
+
+    Raises InvalidDimension for a non-square a, and ``error`` for a
+    non-finite a or one more than EPS_SYM from (anti)symmetric.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidDimension(f"{what} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise error(f"{what} has non-finite entries")
+    defect = float(np.max(np.abs(a + a.T if anti else a - a.T)))
+    if defect > EPS_SYM:
+        raise error(f"{what} asymmetry {defect:.3e} exceeds {EPS_SYM:.1e}")
+    return _symmetric_part(a, anti)
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """A real Lie algebra encoded by its structure-constant tensor.
@@ -58,8 +84,7 @@ class LieAlgebra:
             )
         if not np.all(np.isfinite(c)):
             raise ValidationError("structure constants have non-finite entries")
-        # halves first: c - c^T overflows for entries above max/2
-        object.__setattr__(self, "c", _freeze(0.5 * c - 0.5 * c.transpose(1, 0, 2)))
+        object.__setattr__(self, "c", _symmetric_part(c, anti=True))
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
     @classmethod
@@ -120,16 +145,7 @@ class Metric:
     g: np.ndarray = field(repr=False)
 
     def __init__(self, g):
-        g = np.asarray(g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise InvalidDimension(f"metric must be square, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonPositiveDefinite("metric has non-finite entries")
-        if np.max(np.abs(g - g.T)) > EPS_SYM:
-            raise NonPositiveDefinite(
-                f"metric asymmetry {np.max(np.abs(g - g.T)):.3e} exceeds {EPS_SYM:.1e}"
-            )
-        g = 0.5 * g + 0.5 * g.T  # halves first: g + g^T overflows above max/2
+        g = _checked_symmetric(g, NonPositiveDefinite, "metric")
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -139,7 +155,7 @@ class Metric:
                 f"smallest Cholesky pivot {np.min(np.diag(chol)) ** 2:.3e} "
                 f"not above {EPS_PD:.1e}"
             )
-        object.__setattr__(self, "g", _freeze(g))
+        object.__setattr__(self, "g", g)
 
     @property
     def dim(self) -> int:
@@ -260,9 +276,8 @@ def pullback_metric(metric: Metric, tau) -> Metric:
         raise InvalidDimension(f"map shape {tau.shape}, metric dim {metric.dim}")
     if np.linalg.matrix_rank(tau) < metric.dim:
         raise SingularMap("pullback by a singular map")
-    pulled = tau.T @ metric.g @ tau
     # symmetric in exact arithmetic; its rounding is not an input error
-    return Metric(0.5 * (pulled + pulled.T))
+    return Metric(_symmetric_part(tau.T @ metric.g @ tau))
 
 
 def change_basis_constants(algebra: LieAlgebra, b, labels=None, b_inv=None) -> LieAlgebra:

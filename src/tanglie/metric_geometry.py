@@ -28,7 +28,6 @@ from .lie_core import (
     _pull_back,
     ad_matrix,
     is_automorphism,
-    pullback_metric,
 )
 
 
@@ -77,8 +76,8 @@ class _Classes(NamedTuple):
     For k = 2 the first class is odd.  The product of classes a and b, the
     bracket or the connection, lands in class d(a, b) = (k - 1) ^ a ^ b,
     and R(X_a, X_b) X_c in class a ^ b ^ c.  Flat indices address a whole
-    (k m)^3 tensor or (k m)^2 matrix; the (k, k, k) arrays over class
-    triples (a, b, c) address lists of blocks.
+    (k m)^3 tensor; the (k, k, k) arrays over class triples (a, b, c)
+    address lists of blocks.
     """
 
     allowed: np.ndarray  # (k, k, m, m, m): a 3-tensor at [a, b, i, j, l], l in class d(a, b)
@@ -87,8 +86,6 @@ class _Classes(NamedTuple):
     nabla_right: np.ndarray  # (k, k, k): the allowed block (a, d(b, c)) that nabla_{X_a} meets
     bracket_right: np.ndarray  # (k, k, k): the allowed block (d(a, b), c) of nabla_[X_a, X_b] X_c
     pair: np.ndarray  # (k^3,): the triple (c, a ^ b ^ c, a) that (a, b, c) pairs with
-    metric: np.ndarray  # (k^3, m, m): the diagonal matrix block of class a ^ b ^ c
-    metric_forbidden: np.ndarray  # flat: the matrix off its diagonal blocks
 
 
 def _rest(size: int, taken: np.ndarray) -> np.ndarray:
@@ -104,9 +101,7 @@ def _classes(k: int, m: int) -> _Classes:
     triples = [(a, b, c) for a, b in pairs for c in range(k)]
     d = {(a, b): (k - 1) ^ a ^ b for a, b in pairs}
     cube = np.arange((k * m) ** 3).reshape(k, m, k, m, k, m)
-    square = np.arange((k * m) ** 2).reshape(k, m, k, m)
     allowed = np.stack([cube[a, :, b, :, d[a, b], :] for a, b in pairs]).reshape(k, k, m, m, m)
-    metric = np.stack([square[a ^ b ^ c, :, a ^ b ^ c, :] for a, b, c in triples])
     idx = _Classes(
         allowed=allowed,
         forbidden=_rest(cube.size, allowed),
@@ -114,8 +109,6 @@ def _classes(k: int, m: int) -> _Classes:
         nabla_right=np.array([a * k + d[b, c] for a, b, c in triples]).reshape(k, k, k),
         bracket_right=np.array([d[a, b] * k + c for a, b, c in triples]).reshape(k, k, k),
         pair=np.array([(c * k + (a ^ b ^ c)) * k + a for a, b, c in triples]),
-        metric=metric,
-        metric_forbidden=_rest(square.size, metric),
     )
     for array in idx:  # every caller shares them
         array.setflags(write=False)
@@ -258,26 +251,26 @@ def curvature_invariant_defects(
 
     Each identity maps blocks of R onto blocks, so each residual is a
     gather of blocks and a transpose inside them; the zero blocks off a
-    grading add exactly 0.  The metric must preserve the classes.  Each
-    residual is formed in one buffer and reduced there, and max keeps a
-    NaN in R visible.
+    grading add exactly 0.  A graded tensor takes the identity metric
+    only, as a lift's orthonormal frame has.  Each residual is formed in
+    one buffer and reduced there, and max keeps a NaN in R visible.
     """
     r, k = riem.blocks, riem.classes
     m = r.shape[-1]
-    idx = _classes(k, m)
     g = mla.metric.g
     low = r  # g(R(X_i, X_j) X_k, X_h); an orthonormal basis lowers nothing
     if not np.array_equal(g, np.eye(len(g))):
-        if g.take(idx.metric_forbidden).any():
-            raise PreconditionViolated("the metric does not preserve the classes")
-        low = (r.reshape(k**3, -1, m) @ g.take(idx.metric)).reshape(r.shape)
+        if k > 1:
+            raise PreconditionViolated("a graded tensor takes the identity metric only")
+        low = (r.reshape(-1, m) @ g).reshape(r.shape)
     buf = r + r.transpose(1, 0, 2, 4, 3, 5, 6)
     antisymmetry = float(np.abs(buf, out=buf).max())
     np.add(r, r.transpose(1, 2, 0, 4, 5, 3, 6), out=buf)
     buf += r.transpose(2, 0, 1, 5, 3, 4, 6)
     first_bianchi = float(np.abs(buf, out=buf).max())
     # at [a, b, c, k, h, i, j] the block (c, a ^ b ^ c, a) pairs with (a, b, c) at [i, j, k, h]
-    low.reshape(k**3, -1).take(idx.pair, axis=0, out=buf.reshape(k**3, -1), mode="clip")
+    pair = _classes(k, m).pair
+    low.reshape(k**3, -1).take(pair, axis=0, out=buf.reshape(k**3, -1), mode="clip")
     buf -= low.transpose(0, 1, 2, 5, 6, 3, 4)
     return {
         "antisymmetry": antisymmetry,
@@ -412,10 +405,16 @@ class FieldClassification:
     residual2: float
 
 
-def _conformal_fit(lie_l: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Least-squares rho with lie_l ~ 2 rho g; returns (rho, max residual)."""
+def _judge_metric(lie_l: np.ndarray, g: np.ndarray, tol: float):
+    """(killing, conformal, rho, max|lie_l|) of the Lie derivative lie_l of g.
+
+    rho is the least-squares fit lie_l ~ 2 rho g, and the field is conformal
+    when that fit's residual is at most tol max(1, max|lie_l|).
+    """
+    size = float(np.max(np.abs(lie_l)))
     rho = float(np.sum(lie_l * g) / (2.0 * np.sum(g * g)))
-    return rho, float(np.max(np.abs(lie_l - 2.0 * rho * g)))
+    residual = float(np.max(np.abs(lie_l - 2.0 * rho * g)))
+    return size <= tol, residual <= tol * max(1.0, size), rho, size
 
 
 def classify_field(
@@ -443,23 +442,12 @@ def classify_field(
         raise PreconditionViolated(
             "vector out of floating-point range: its Lie derivative is not finite"
         )
-    rho1, res1 = _conformal_fit(l1, mla1.metric.g)
-    rho2, res2 = _conformal_fit(l2, mla2.metric.g)
-    scale1 = max(1.0, float(np.max(np.abs(l1))))
-    scale2 = max(1.0, float(np.max(np.abs(l2))))
-    adx = ad_matrix(mla1.algebra, x)
+    killing1, conformal1, rho1, size1 = _judge_metric(l1, mla1.metric.g, tol)
+    killing2, conformal2, rho2, size2 = _judge_metric(l2, mla2.metric.g, tol)
     # [X_i, x] = -ad(x) X_i, so centrality is just ad(x) = 0.
-    in_center = float(np.max(np.abs(adx))) <= tol
+    in_center = float(np.max(np.abs(ad_matrix(mla1.algebra, x)))) <= tol
     return FieldClassification(
-        killing1=float(np.max(np.abs(l1))) <= tol,
-        killing2=float(np.max(np.abs(l2))) <= tol,
-        conformal1=res1 <= tol * scale1,
-        conformal2=res2 <= tol * scale2,
-        conformal_factor1=rho1,
-        conformal_factor2=rho2,
-        in_center=in_center,
-        residual1=float(np.max(np.abs(l1))),
-        residual2=float(np.max(np.abs(l2))),
+        killing1, killing2, conformal1, conformal2, rho1, rho2, in_center, size1, size2
     )
 
 
@@ -514,12 +502,11 @@ def equivariance_defect(
     """
     tau = np.asarray(tau, dtype=float)
     algebra = mla.algebra
-    expected = pullback_metric(mla.metric, tau).g
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    if float(np.max(np.abs(mla_pulled.metric.g - expected))) > CHECK_TOL * scale:
-        raise PreconditionViolated("second metric is not the pullback of the first")
-    if not is_automorphism(algebra, tau):
+    if not is_automorphism(algebra, tau):  # which also checks tau's shape
         raise PreconditionViolated("map is not an automorphism of the algebra")
+    # not <=: a tau^T g tau out of range gives a NaN gap, which is refused
+    if not _relative_gap(mla_pulled.metric.g, tau.T @ mla.metric.g @ tau) <= CHECK_TOL:
+        raise PreconditionViolated("second metric is not the pullback of the first")
 
     n = algebra.dim
     conn = levi_civita(mla)

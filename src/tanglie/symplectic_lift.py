@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, NotSymplecticInput, ValidationError
-from .lie_core import EPS_SYM, LieAlgebra
+from .lie_core import LieAlgebra, _checked_symmetric, _symmetric_part
 from .tangent_lift import TangentLieAlgebra
 
 RTOL = 1e-9  # relative tolerance of every symplectic verdict
@@ -34,18 +34,7 @@ class TwoForm:
     w: np.ndarray = field(repr=False)
 
     def __init__(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InvalidDimension(f"two-form must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("two-form has non-finite entries")
-        skew_defect = float(np.max(np.abs(w + w.T)))
-        if skew_defect > EPS_SYM:
-            raise ValidationError(
-                f"two-form asymmetry {skew_defect:.3e} exceeds {EPS_SYM:.1e}"
-            )
-        w = 0.5 * w - 0.5 * w.T  # halves first: w - w^T overflows above max/2
-        w.setflags(write=False)
+        w = _checked_symmetric(w, ValidationError, "two-form", anti=True)
         object.__setattr__(self, "w", w)
 
     @property
@@ -108,7 +97,7 @@ def lift_symplectic(
     wt[n:, :n], wt[:n, n:], wt[n:, n:] = cv, -cv.T, b1.T @ w1.w @ b1
     # b1^T w b1 is antisymmetric in exact arithmetic; its rounding is not
     # an input error, so antisymmetrize before TwoForm checks it
-    return TwoForm(0.5 * (wt - wt.T))
+    return TwoForm(_symmetric_part(wt, anti=True))
 
 
 #: the eight lift-type patterns of the cyclic cocycle identity, in the

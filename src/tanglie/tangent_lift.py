@@ -268,11 +268,11 @@ def build_tangent(algebra: LieAlgebra, g1: Metric, g2: Metric) -> TangentLieAlge
 def _lifted_bracket(c: np.ndarray, sl: np.ndarray) -> np.ndarray:
     """Lifted bracket tensor in the basis {X_i^v / sl_i, X_i^c}; sl = 1 is the raw basis."""
     n = c.shape[0]
-    isl = 1.0 / sl
+    ratio = (1.0 / sl)[:, None] * sl  # (1 / sl_a) sl_k at [a, k]
     b = np.zeros((2 * n, 2 * n, 2 * n))
     # vertical-vertical block stays zero
-    b[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, c)  # [X_i^v~, X_j^c]
-    b[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, c)  # [X_i^c, X_j^v~]
+    b[:n, n:, :n] = ratio[:, None] * c  # [X_i^v~, X_j^c]
+    b[n:, :n, :n] = ratio * c  # [X_i^c, X_j^v~]
     b[n:, n:, n:] = c  # complete copy of the base bracket
     return b
 
@@ -395,11 +395,12 @@ def lifted_connection_closed_form(t: TangentLieAlgebra) -> Connection:
     gamma = np.zeros((2 * n, 2 * n, 2 * n))
     gamma[n:, n:, n:] = conn1.gamma
     w_cv = conn2.gamma + 0.5 * adstar.transpose(2, 0, 1)  # adstar[j, k, i] at [i, j, k]
-    gamma[n:, :n, :n] = np.einsum("k,j,ijk->ijk", sl, isl, w_cv)
+    ratio = isl[:, None] * sl  # (1 / sl_a) sl_k at [a, k]
+    gamma[n:, :n, :n] = ratio * w_cv
     w_vc = conn2.gamma + 0.5 * adstar.transpose(0, 2, 1)  # adstar[i, k, j] at [i, j, k]
-    gamma[:n, n:, :n] = np.einsum("k,i,ijk->ijk", sl, isl, w_vc)
+    gamma[:n, n:, :n] = ratio[:, None] * w_vc
     w_vv = lam * (conn2.gamma - 0.5 * c)  # phi = diag(lambda) on the output slot
-    gamma[:n, :n, n:] = np.einsum("i,j,ijk->ijk", isl, isl, w_vv)
+    gamma[:n, :n, n:] = (isl[:, None, None] * isl[:, None]) * w_vv
     return Connection(gamma)
 
 

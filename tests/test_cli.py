@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -424,8 +425,9 @@ def _aff1_symplectic_doc(scale=1.0, **metrics):
         _aff1_symplectic_doc(1e-7),
         _aff1_symplectic_doc(1e-10),
         _aff1_symplectic_doc(1e8, g1=[[2, 0.7], [0.7, 1]], g2=[[1, 0.2], [0.2, 3]]),
+        _aff1_symplectic_doc(1e308),  # w - w^T would overflow in the lift
     ],
-    ids=["g2_spread_1e13", "forms_1e-7", "forms_1e-10", "forms_1e8_rotated"],
+    ids=["g2_spread_1e13", "forms_1e-7", "forms_1e-10", "forms_1e8_rotated", "forms_1e308"],
 )
 def test_symplectic_verdict_ignores_scale(doc, tmp_path, capsys):
     # valid symplectic pairs that absolute bounds once judged FAIL or refused
@@ -655,7 +657,14 @@ def test_exit_codes(tmp_path, capsys):
         bad_path = _write(tmp_path, f"{key}.json", bad_doc)
         sections.append((["check", bad_path], f"ValidationError: {key}: must be"))
     missing = str(tmp_path / "missing" / "x.json")
+    doc = catalog_algebra("su2").to_dict()
+    doc["metrics"]["g1"] = _diag_list(1e308, 1e308, 1e308)  # a finite metric and pullback
+    big_su2 = _write(tmp_path, "big_su2.json", doc)
     for argv, message in (
+        (
+            ["equiv", big_su2, "--tau", "rot_z"],
+            "PreconditionViolated: plane out of floating-point range",
+        ),
         (["field", "su2", "--vector", "1e308*X"], "vector out of floating-point range"),
         (
             ["field", "heisenberg", "--vector", "1e308*X + 1e308*X"],
@@ -687,7 +696,8 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_non_finite_report_is_refused(tmp_path, capsys):
     # every input entry is finite, but g1 = diag(1, 1, 1e300) against a
-    # bracket of 1e10 overflows the connection and the curvature
+    # bracket of 1e10 overflows the connection and the curvature; the
+    # refusal is one error line, with no floating-point warning before it
     doc = _heisenberg_doc()
     doc["brackets"][0]["value"] = 1e10
     doc["metrics"]["g1"] = _diag_list(1.0, 1.0, 1e300)
@@ -698,12 +708,15 @@ def test_non_finite_report_is_refused(tmp_path, capsys):
         ["curvature", huge, "--metric", "g1"],
     ):
         for mode in ([], ["--json"]):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert run_command(argv + mode) == 2
+            assert caught == []
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "PreconditionViolated: report." in captured.err
-            assert "is not finite" in captured.err
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: PreconditionViolated: report.")
+            assert line.endswith("is not finite: out of floating-point range")
     # entries up to the float maximum are kept finite, and so is the report
     doc = catalog_algebra("aff1").to_dict()
     doc["metrics"]["g1"] = _diag_list(1e308, 1.0)

@@ -673,8 +673,10 @@ def test_graded_curvature_refuses_an_ungraded_connection():
     riem = lifted_curvature(t)
     g = np.eye(6)
     g[0, 3] = g[3, 0] = 0.5  # pairs V_1 with X_1^c
-    with pytest.raises(PreconditionViolated, match="metric"):
-        curvature_invariant_defects(MetricLieAlgebra(t.lifted, Metric(g)), riem)
+    # a graded tensor is lowered by the identity only, the lift frame's metric
+    for metric in (Metric(g), Metric(2.0 * np.eye(6))):
+        with pytest.raises(PreconditionViolated, match="metric"):
+            curvature_invariant_defects(MetricLieAlgebra(t.lifted, metric), riem)
 
 
 @pytest.mark.parametrize("name", CATALOG)

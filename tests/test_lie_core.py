@@ -202,6 +202,9 @@ def test_singular_map_is_not_automorphism(heisenberg):
 def test_pullback_by_identity_fixes_metric():
     g = Metric(np.diag([1.0, 2.0, 3.0]))
     npt.assert_allclose(pullback_metric(g, np.eye(3)).g, g.g)
+    # halves first: g + g^T would overflow an entry above max/2
+    big = np.diag([1e308, 1.0])
+    npt.assert_array_equal(pullback_metric(Metric(big), np.eye(2)).g, big)
 
 
 def test_pullback_diagonal():

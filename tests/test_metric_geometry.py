@@ -301,6 +301,8 @@ def test_equivariance_rejects_non_automorphism(heisenberg):
     pulled = MetricLieAlgebra(mla.algebra, pullback_metric(mla.metric, tau))
     with pytest.raises(PreconditionViolated):
         equivariance_defect(mla, pulled, tau)
+    with pytest.raises(PreconditionViolated, match="automorphism"):  # a singular map
+        equivariance_defect(mla, mla, np.zeros((3, 3)))
 
 
 def test_equivariance_rejects_wrong_metric(heisenberg):
