@@ -785,6 +785,10 @@ def _cmd_equiv(args, report: Report):
         payload["lifted_is_automorphism"] = lifted_auto
         if np.array_equal(tau, tau2):
             report.check_bool("lifted_automorphism", lifted_auto)
+    if not report.checks:  # a report with no verdict would pass
+        raise PreconditionViolated(
+            "nothing to judge: the problem has no metrics, and no --tau2 equal to --tau"
+        )
     report.result = payload
 
 

@@ -216,7 +216,8 @@ def _jacobi_sum(c: np.ndarray) -> np.ndarray:
 
 def jacobi_defect(algebra: LieAlgebra) -> float:
     """Max-abs residual of the Jacobi identity over all index quadruples."""
-    return float(np.max(np.abs(_jacobi_sum(algebra.c))))
+    resid = _jacobi_sum(algebra.c)
+    return float(np.abs(resid, out=resid).max())
 
 
 def center(algebra: LieAlgebra, tol: float = 1e-10) -> list[np.ndarray]:
@@ -264,9 +265,9 @@ def is_automorphism(algebra: LieAlgebra, tau) -> bool:
     if np.linalg.matrix_rank(tau) < n:
         return False
     c = algebra.c
-    lhs = (c.reshape(n * n, n) @ tau.T).reshape(c.shape)  # tau([X_i, X_j])
-    rhs = _pull_back(c, tau, tau)  # [tau X_i, tau X_j]
-    return float(np.max(np.abs(lhs - rhs))) <= CHECK_TOL
+    resid = (c.reshape(n * n, n) @ tau.T).reshape(c.shape)  # tau([X_i, X_j])
+    resid -= _pull_back(c, tau, tau)  # [tau X_i, tau X_j]
+    return float(np.abs(resid, out=resid).max()) <= CHECK_TOL
 
 
 def pullback_metric(metric: Metric, tau) -> Metric:

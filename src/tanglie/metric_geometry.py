@@ -315,6 +315,15 @@ def sectional_quotient(metric: Metric, x, y, rxyy) -> float:
     return float(_plane_quotients(num, gram, EPS_PD))
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i < j, of n basis vectors, shared read-only."""
+    pairs = np.triu_indices(n, 1)
+    for array in pairs:  # every caller shares them
+        array.setflags(write=False)
+    return pairs
+
+
 def _basis_sectionals(r: np.ndarray, lower: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Sectional curvatures of all basis planes (e_i, e_j), i < j, at once.
 
@@ -325,7 +334,7 @@ def _basis_sectionals(r: np.ndarray, lower: np.ndarray, g: np.ndarray) -> np.nda
     e_i and e_j, so it is refused when sin^2 of that angle is at most
     EPS_PD, a floor of EPS_PD g_ii g_jj that ignores the metric's scale.
     """
-    iu, ju = np.triu_indices(g.shape[0], 1)
+    iu, ju = _upper_pairs(g.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         num = np.sum(r[iu, ju, ju] * lower[:, iu].T, axis=1)
         gii_gjj = g[iu, iu] * g[ju, ju]
@@ -367,12 +376,14 @@ def canonical_metricity_defect(mla: MetricLieAlgebra) -> float:
     (half the bracket) to be metric for g.
     """
     t = _lowered_double_bracket(mla)
-    return float(np.max(np.abs(t + t.transpose(0, 1, 3, 2))))
+    resid = t + t.transpose(0, 1, 3, 2)
+    return float(np.abs(resid, out=resid).max())
 
 
 def double_bracket_defect(mla: MetricLieAlgebra) -> float:
     """Max over basis quadruples of |g([X_k, [X_i, X_j]], X_l)|."""
-    return float(np.max(np.abs(_lowered_double_bracket(mla))))
+    t = _lowered_double_bracket(mla)
+    return float(np.abs(t, out=t).max())
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +497,16 @@ class EquivarianceDefects:
 
 
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(1.0, np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    return float(np.max(np.abs(a - b), initial=0.0) / scale)
+    """max|a - b| / max(1, max|a|, max|b|); NaN when a or b is not finite.
+
+    max|x| is read as max(max x, -min x), with no |x| copy, and |a - b| is
+    formed in its one difference buffer.  A NaN drops out of the scale but
+    stays in the difference, and an infinite entry gives inf / inf.
+    """
+    scale = max(1.0, a.max(initial=0.0), -a.min(initial=0.0),
+                b.max(initial=0.0), -b.min(initial=0.0))
+    gap = a - b
+    return float(np.abs(gap, out=gap).max(initial=0.0) / scale)
 
 
 def equivariance_defect(
@@ -511,25 +530,24 @@ def equivariance_defect(
     n = algebra.dim
     conn = levi_civita(mla)
     conn_p = levi_civita(mla_pulled)
-    riem = curvature(mla, conn)
-    riem_p = curvature(mla_pulled, conn_p)
 
     # tau(nabla'_{X_i} X_j) vs nabla_{tau X_i} tau X_j
     lhs = (conn_p.gamma.reshape(-1, n) @ tau.T).reshape((n,) * 3)
     conn_defect = _relative_gap(lhs, _pull_back(conn.gamma, tau, tau))
 
-    # tau(R'(X_i, X_j) X_k) vs R(tau X_i, tau X_j) tau X_k
-    r_tau = _pull_back(riem.r, tau, tau, tau)
-    lhs_r = (riem_p.r.reshape(-1, n) @ tau.T).reshape((n,) * 4)
-    curv_defect = _relative_gap(lhs_r, r_tau)
-
-    # the plane (X_i, X_j) under (g', R') vs (tau X_i, tau X_j) under (g, R)
-    g_p = mla_pulled.metric.g
+    # One curvature tensor at a time: each is dropped once its planes are read
+    # and it is transported, and only the transported R waits for R'.
+    # R(tau X_i, tau X_j) tau X_k and the plane (tau X_i, tau X_j) under (g, R)
+    r_tau = _pull_back(curvature(mla, conn).r, tau, tau, tau)
     g_tau = mla.metric.g @ tau
-    sec_defect = _relative_gap(
-        _basis_sectionals(riem_p.r, g_p, g_p),
-        _basis_sectionals(r_tau, g_tau, tau.T @ g_tau),
-    )
+    sec_tau = _basis_sectionals(r_tau, g_tau, tau.T @ g_tau)
+    # vs tau(R'(X_i, X_j) X_k) and the plane (X_i, X_j) under (g', R')
+    g_p = mla_pulled.metric.g
+    r_p = curvature(mla_pulled, conn_p).r
+    sec_defect = _relative_gap(_basis_sectionals(r_p, g_p, g_p), sec_tau)
+    lhs_r = (r_p.reshape(-1, n) @ tau.T).reshape((n,) * 4)
+    del r_p
+    curv_defect = _relative_gap(lhs_r, r_tau)
     return EquivarianceDefects(conn_defect, curv_defect, sec_defect)
 
 

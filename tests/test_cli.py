@@ -368,6 +368,27 @@ def test_equiv_rejects_non_automorphism(tmp_path, capsys):
     assert "PreconditionViolated: map is not an automorphism" in capsys.readouterr().err
 
 
+def test_equiv_without_a_verdict_is_refused(tmp_path, capsys):
+    # no metrics and no lifted check: the report would pass with no row; a tau
+    # that is no automorphism is refused before (test_equiv_rejects_non_automorphism)
+    doc = dict(_heisenberg_doc(), metrics={})
+    shear = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    doc["automorphisms"] = {"d": _diag_list(2.0, 3.0, 6.0), "shear": shear}
+    bare = _write(tmp_path, "bare.json", doc)
+    for extra in ([], ["--tau2", "shear"]):
+        assert run_command(["equiv", bare, "--tau", "d", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: PreconditionViolated: nothing to judge: the problem has no metrics, "
+            "and no --tau2 equal to --tau\n"
+        )
+    # (d, shear) lifts to no automorphism; the lifted check of (d, d) is a verdict
+    code, report = _run_json(["equiv", bare, "--tau", "d", "--tau2", "d"], capsys)
+    assert code == 0
+    assert [row["name"] for row in report["checks"]] == ["lifted_automorphism"]
+
+
 def test_equiv_large_automorphism_passes(tmp_path, capsys):
     # entries in the hundreds: the absolute curvature gap was 8.2e-3 of pure
     # rounding; each defect is now relative to the tensors it compares
@@ -786,6 +807,21 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_adds_no_module_beyond_numpy():
+    # every process of the command line pays for these imports at start-up
+    code = (
+        "import sys, numpy; before = set(sys.modules); import tanglie.cli_io; "
+        "print(*{m.partition('.')[0] for m in set(sys.modules) - before})"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split()) - {"tanglie"}
+    assert added <= {
+        "__future__", "_blake2", "_hashlib", "_json", "argparse", "copy", "dataclasses",
+        "gettext", "hashlib", "json",
+    }
+
+
 def test_import_does_not_load_the_cli():
     proc = _run_python(
         "-c",
@@ -881,6 +917,20 @@ def test_ab_pairs_counts_wins_by_direction():
         "peak_rss_mb": (0.125, True, False),  # 45 against 40 moves 12.5 % the worse way
         "setup_s": (-0.7, False, False),  # spread 0.5, but every change run is better
     }
+
+
+def test_op_faults_counts_every_timed_operation():
+    # in a process of its own, as the benchmark runs: one round of base_equiv
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tool = os.path.join(root, "tools", "op_faults.py")
+    proc = _run_python(tool, root, "base_equiv", "--seed", "3", "--seconds", "0")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert sorted(out) == [
+        "failed", "faults_per_op", "latency_p50_ms", "operations", "ops_per_s", "seed", "workload",
+    ]
+    assert (out["workload"], out["seed"], out["operations"], out["failed"]) == ("base_equiv", 3, 6, 0)
+    assert out["faults_per_op"] >= 0 and out["latency_p50_ms"] > 0 and out["ops_per_s"] > 0
 
 
 def test_ladder_times_every_stage():

@@ -27,6 +27,12 @@ products sum in another order than the inline einsums of
 ``block_rounding_bound`` derives.  So do the lifted Jacobi guard, which
 weighs c's own Jacobi sum, and its reference, which multiplies the (C, V)
 blocks of the lift; ``guard_rounding_bound`` derives their bound.
+
+The base residuals that reduce in the buffers they own, and
+``equivariance_defect``, which holds one curvature tensor at a time, must
+equal their earlier copying forms bit for bit on the catalog, on the
+three algebras of the equivariance benchmark with two seeded draws each,
+and on the large Heisenberg automorphism.
 """
 
 import itertools
@@ -57,8 +63,11 @@ from tanglie.metric_geometry import (
     MetricLieAlgebra,
     _basis_sectionals,
     _lowered_double_bracket,
+    _relative_gap,
+    canonical_metricity_defect,
     curvature,
     curvature_invariant_defects,
+    double_bracket_defect,
     equivariance_defect,
     levi_civita,
     random_spd_metric,
@@ -400,6 +409,110 @@ def test_equivariance_still_rejects_at_dim_11(name):
     with pytest.raises(PreconditionViolated, match="automorphism"):
         equivariance_defect(mla, MetricLieAlgebra(algebra, pullback_metric(mla.metric, not_auto)), not_auto)
     assert equivariance_defect(mla, pulled, tau).curvature_defect <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reductions in the buffers they own: the earlier copying forms, verbatim
+# ---------------------------------------------------------------------------
+
+
+def ref_relative_gap(a, b):
+    scale = max(1.0, np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return float(np.max(np.abs(a - b), initial=0.0) / scale)
+
+
+def ref_equivariance_defect(mla, mla_pulled, tau):
+    """The two-tensor form: both curvature tensors alive through the whole call."""
+    n = mla.dim
+    conn = levi_civita(mla)
+    conn_p = levi_civita(mla_pulled)
+    riem = curvature(mla, conn)
+    riem_p = curvature(mla_pulled, conn_p)
+    lhs = (conn_p.gamma.reshape(-1, n) @ tau.T).reshape((n,) * 3)
+    conn_defect = ref_relative_gap(lhs, _pull_back(conn.gamma, tau, tau))
+    r_tau = _pull_back(riem.r, tau, tau, tau)
+    lhs_r = (riem_p.r.reshape(-1, n) @ tau.T).reshape((n,) * 4)
+    curv_defect = ref_relative_gap(lhs_r, r_tau)
+    g_p = mla_pulled.metric.g
+    g_tau = mla.metric.g @ tau
+    sec_defect = ref_relative_gap(
+        _basis_sectionals(riem_p.r, g_p, g_p),
+        _basis_sectionals(r_tau, g_tau, tau.T @ g_tau),
+    )
+    return conn_defect, curv_defect, sec_defect
+
+
+def ref_is_automorphism(algebra, tau):
+    n = algebra.dim
+    if np.linalg.matrix_rank(tau) < n:
+        return False
+    c = algebra.c
+    lhs = (c.reshape(n * n, n) @ tau.T).reshape(c.shape)
+    rhs = _pull_back(c, tau, tau)
+    return float(np.max(np.abs(lhs - rhs))) <= 1e-8
+
+
+# as the equivariance benchmark: its three algebras, two seeded draws each
+BASE_EQUIV_CASES = [
+    f"n11:{name}#{seed}"
+    for name in ("heisenberg11", "filiform11", "free(4,2)+R")
+    for seed in (1101, 1102)
+]
+
+
+@pytest.mark.parametrize(
+    "label", [f"catalog:{name}" for name in CATALOG] + BASE_EQUIV_CASES + ["large_tau"]
+)
+def test_owned_buffer_reductions_equal_the_copying_forms(label):
+    c, g1, g2, tau = _case(label)
+    algebra = LieAlgebra.from_tensor(c)
+    rebased = change_basis_constants(algebra, _basis_change(c, 13))  # a nonzero Jacobi sum
+    for alg in (algebra, rebased):
+        assert jacobi_defect(alg) == float(np.max(np.abs(_jacobi_sum(alg.c))))
+    # tau and a perturbed tau, which is no automorphism of a non-abelian algebra
+    for t in (tau, tau + 1e-3 * np.eye(len(tau))[::-1]):
+        assert is_automorphism(algebra, t) == ref_is_automorphism(algebra, t)
+    for g in (g1, g2):
+        mla = MetricLieAlgebra(algebra, Metric(g))
+        t = _lowered_double_bracket(mla)
+        assert canonical_metricity_defect(mla) == float(np.max(np.abs(t + t.transpose(0, 1, 3, 2))))
+        assert double_bracket_defect(mla) == float(np.max(np.abs(t)))
+        pulled = MetricLieAlgebra(algebra, pullback_metric(mla.metric, tau))
+        defects = equivariance_defect(mla, pulled, tau)
+        got = (defects.connection_defect, defects.curvature_defect, defects.sectional_defect)
+        assert got == ref_equivariance_defect(mla, pulled, tau)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_relative_gap_of_a_non_finite_entry_is_nan(bad):
+    a = np.array([[1.0, -2.0], [3.0, 4.0]])
+    b = a.copy()
+    b[1, 0] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        for x, y in ((a, b), (b, a), (b, b)):
+            assert np.isnan(_relative_gap(x, y))
+            assert np.isnan(ref_relative_gap(x, y))
+    empty = np.zeros((0, 3))
+    assert _relative_gap(empty, empty) == ref_relative_gap(empty, empty) == 0.0
+
+
+def test_equivariance_defect_holds_one_curvature_at_a_time():
+    # each n^4 tensor is dropped once transported: the two-tensor form peaked
+    # at 6.3 n^4 buffers here
+    n = 11
+    c, tau = graded11("heisenberg11", 1.1, 0.9)
+    rng = np.random.default_rng(1103)
+    algebra = LieAlgebra.from_tensor(c)
+    mla = MetricLieAlgebra(algebra, random_spd_metric(rng, n))
+    pulled = MetricLieAlgebra(algebra, pullback_metric(mla.metric, tau))
+    equivariance_defect(mla, pulled, tau)  # the cached index arrays, formed once
+    tracemalloc.start()
+    try:
+        equivariance_defect(mla, pulled, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * n**4 * 8
 
 
 # ---------------------------------------------------------------------------
