@@ -23,7 +23,7 @@ from tanglie.cli_io import (
     run_command,
 )
 from tanglie.errors import ExprError, ParseError, UnknownCatalogEntry, ValidationError
-from tanglie.lie_core import CHECK_TOL, center
+from tanglie.lie_core import CHECK_TOL, LieAlgebra, center
 from tanglie.metric_geometry import (
     MetricLieAlgebra,
     levi_civita,
@@ -413,16 +413,39 @@ def test_equiv_small_metric_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_lift_small_metric_passes_jacobi_guard(tmp_path, capsys):
-    # max|lifted bracket| is 6.2e3 here; the Jacobi rounding of 3.7e-9
-    # is 1e-16 of its square, which the absolute bound 1e-9 rejected
-    doc = catalog_algebra("aff1").to_dict()
-    doc["metrics"] = {
+def _small_g1_docs():
+    """Valid pairs with a small g1, whose lifted brackets are large."""
+    aff1 = catalog_algebra("aff1").to_dict()
+    aff1["metrics"] = {
         "g1": (1e-7 * np.array([[2, 0.7], [0.7, 1]])).tolist(),
         "g2": [[1, 0.2], [0.2, 3]],
     }
-    small = _write(tmp_path, "small.json", doc)
-    assert run_command(["connection", small, "--metric", "lift"]) == 0
+    heisenberg = catalog_algebra("heisenberg").to_dict()
+    a = np.random.default_rng(3).standard_normal((3, 3))
+    heisenberg["metrics"]["g1"] = (1e-9 * (a.T @ a + np.eye(3))).tolist()
+    return [aff1, heisenberg]
+
+
+def test_lift_small_metric_passes_jacobi_guard(tmp_path, capsys):
+    # max|lifted bracket| is 6.2e3 on aff1; the Jacobi rounding of 3.7e-9
+    # is 1e-16 of its square, which the absolute bound 1e-9 rejected.
+    # `lift` judges the lifted bracket by the same guard as `connection`.
+    docs = _small_g1_docs()
+    rng = np.random.default_rng(11)
+    for name in ("heisenberg", "solvable_rr2", "su2", "aff1"):
+        for s in (1e-6, 1e-8, 1e-10):
+            doc = catalog_algebra(name).to_dict()
+            a = rng.standard_normal((doc["dim"], doc["dim"]))
+            doc["metrics"]["g1"] = (s * (a.T @ a + np.eye(doc["dim"]))).tolist()
+            docs.append(doc)
+    out = str(tmp_path / "lifted.json")
+    for k, doc in enumerate(docs):
+        small = _write(tmp_path, "small.json", doc)
+        assert run_command(["connection", small, "--metric", "lift"]) == 0, k
+        assert run_command(["lift", small]) == 0, k
+        assert run_command(["lift", small, "-o", out]) == 0, k
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh)["dim"] == 2 * doc["dim"]
     capsys.readouterr()
 
 
@@ -533,6 +556,36 @@ def test_lift_round_trip(tmp_path, capsys):
             )
         ),
     )
+
+
+def test_lift_document_is_the_tangent_bit_for_bit(tmp_path, capsys):
+    # read back with from_brackets: the load-time Jacobi check of a problem
+    # file refuses the documents of the small-g1 pairs
+    rng = np.random.default_rng(SWEEP_SEED)
+    docs = _small_g1_docs()
+    for name in CATALOG:
+        doc = catalog_algebra(name).to_dict()
+        docs.append(doc)
+        for _ in range(3):
+            g1, g2 = (random_spd_metric(rng, doc["dim"]).g.tolist() for _ in range(2))
+            docs.append(dict(doc, metrics={"g1": g1, "g2": g2}))
+    out = str(tmp_path / "lifted.json")
+    for k, doc in enumerate(docs):
+        path = _write(tmp_path, "p.json", doc)
+        code, report = _run_json(["lift", path, "-o", out], capsys)
+        assert code == 0, k
+        emitted = report["result"]["problem"]
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh) == emitted, k
+        problem = load_problem(path)
+        t = build_tangent(problem.algebra(), problem.metric("g1"), problem.metric("g2"))
+        entries = {(e["i"], e["j"], e["k"]): e["value"] for e in emitted["brackets"]}
+        rebuilt = LieAlgebra.from_brackets(emitted["dim"], entries, tuple(emitted["basis"]))
+        assert rebuilt.c.tobytes() == t.lifted.c.tobytes(), k
+        assert tuple(emitted["basis"]) == t.lifted.basis_labels, k
+        meta = emitted["meta"]
+        assert np.array(meta["lambdas"]).tobytes() == t.phi_data.lambdas.tobytes(), k
+        assert np.array(meta["eigenbasis_columns"]).tobytes() == t.phi_data.b1.tobytes(), k
 
 
 def test_lift_writes_output_file(tmp_path, capsys):
@@ -957,6 +1010,7 @@ def test_ladder_times_every_stage():
         assert "lifted_sectional" in row["ms"] and "lifted_sectional_riem" in row["ms"]
         # the block products apart from the deviation reduction around them
         assert "curvature_blocks" in row["ms"] and "curvature_block_deviations" in row["ms"]
+        assert "lift" in row["ms"]  # the command, from the problem file to the report
     assert all(v >= 0 for part in out["3"].values() for v in part.values())
     for part in out["5"].values():
         skipped = [name for name, v in part.items() if v is None]
@@ -964,7 +1018,7 @@ def test_ladder_times_every_stage():
             name for name in part if name.startswith("curvature")
         ] + ["lifted_sectional_riem"]
         assert part["build_tangent"] >= 0 and part["lifted_connection_closed_form"] >= 0
-        assert part["levi_civita"] >= 0 and part["lifted_sectional"] >= 0
+        assert part["levi_civita"] >= 0 and part["lifted_sectional"] >= 0 and part["lift"] >= 0
 
 
 def test_trace_targets_resolve():

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tanglie import metric_geometry, tangent_lift
+from tanglie import cli_io, metric_geometry, tangent_lift
 from tanglie.cli_io import catalog_algebra, run_command
 from tanglie.errors import PreconditionViolated, ValidationError
 from tanglie.lie_core import (
@@ -1099,3 +1099,22 @@ def test_lift_connection_command_forms_each_connection_once(monkeypatch, method)
     argv = ["connection", "heisenberg", "--metric", "lift", "--method", method]
     assert run_command(argv) == 0
     assert len(calls) == 3  # nabla1 and nabla2 of the base metrics, and the lift's Koszul
+
+
+def test_lift_command_loads_its_input_once_and_forms_no_connection(monkeypatch):
+    loads, calls = [], []
+    load = cli_io.problem_from_dict
+
+    def counted_load(doc, *args):
+        loads.append(doc)
+        return load(doc, *args)
+
+    def counted(mla):
+        calls.append(mla)
+        return levi_civita(mla)
+
+    monkeypatch.setattr(cli_io, "problem_from_dict", counted_load)
+    for module in (metric_geometry, tangent_lift):
+        monkeypatch.setattr(module, "levi_civita", counted)
+    assert run_command(["lift", "heisenberg", "--json"]) == 0
+    assert (len(loads), len(calls)) == (1, 0)  # the catalog entry; no reload

@@ -19,7 +19,9 @@ The two plane stages take the sectional curvature of one seeded plane:
 the curvature tensor.  The stages on the curvature tensor are skipped and
 printed as null where its 8 stored n^4 blocks would take more than
 ``TENSOR_BUDGET`` bytes, and ``curvature_r`` also where the full tensor
-would.
+would.  The ``lift`` stage is the command ``tanglie lift FILE --json``
+run in-process, with its output captured, on the h_n problem written to
+a file once per n: the load, the tangent and the emitted document.
 
 Usage (from anywhere)::
 
@@ -34,8 +36,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # as bench/run.py
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
@@ -53,6 +58,7 @@ STAGES = (
     "curvature_blocks",
     "curvature_block_deviations",
     "lifted_sectional_riem",
+    "lift",
 )
 
 
@@ -66,16 +72,37 @@ def heisenberg(n: int) -> np.ndarray:
     return c
 
 
-def ladder(sizes, repeat) -> dict:
+def lift_command(path: str) -> None:
+    """Run ``tanglie lift PATH --json`` in-process and drop its report."""
+    from tanglie.cli_io import run_command
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(["lift", path, "--json"])
+    if code != 0:
+        raise RuntimeError(f"tanglie lift {path} exited {code}")
+
+
+def ladder(sizes, repeat, workdir) -> dict:
     from tanglie import metric_geometry as mg, tangent_lift as tl
     from tanglie.lie_core import LieAlgebra
 
     out = {}
     for n in sizes:
         rng = np.random.default_rng(n)
-        algebra = LieAlgebra.from_tensor(heisenberg(n))
+        c = heisenberg(n)
+        algebra = LieAlgebra.from_tensor(c)
         g1, g2 = mg.random_spd_metric(rng, n), mg.random_spd_metric(rng, n)
         u, v = rng.standard_normal((2, 2 * n))
+        path = os.path.join(workdir, f"h{n}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({
+                "schema": "tanglie/1",
+                "name": f"h{n}",
+                "dim": n,
+                "brackets": [{"i": int(i), "j": int(j), "k": int(k), "value": float(c[i, j, k])}
+                             for i, j, k in np.argwhere(c) if i < j],
+                "metrics": {"g1": g1.g.tolist(), "g2": g2.g.tolist()},
+            }, fh)
         warm = tl.build_tangent(algebra, g1, g2)
         tl.lifted_connection_closed_form(warm)
         stages = {  # each takes a tangent on which nothing is derived yet
@@ -83,6 +110,7 @@ def ladder(sizes, repeat) -> dict:
             "lifted_connection_closed_form": tl.lifted_connection_closed_form,
             "levi_civita": lambda t: mg.levi_civita(t.lifted_mla()),
             "lifted_sectional": lambda t: tl.lifted_sectional(warm, u, v),
+            "lift": lambda t: lift_command(path),
         }
         if 8 * 8 * n**4 <= TENSOR_BUDGET:
             riem = tl.lifted_curvature(warm)
@@ -125,7 +153,8 @@ def main(argv=None) -> int:
     args = p.parse_args(sys.argv[1:] if argv is None else argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     sizes = [int(s) for s in args.sizes.split(",")]
-    print(json.dumps(ladder(sizes, args.repeat), indent=1))
+    with tempfile.TemporaryDirectory() as workdir:
+        print(json.dumps(ladder(sizes, args.repeat, workdir), indent=1))
     return 0
 
 
