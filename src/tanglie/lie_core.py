@@ -63,7 +63,7 @@ class LieAlgebra:
 
     Antisymmetry in the first two tensor slots is exact by construction and
     non-finite constants are refused, so only the Jacobi identity remains a
-    nontrivial property (see :func:`jacobi_defect`).
+    nontrivial property, judged on c alone by :meth:`require_jacobi`.
     """
 
     dim: int
@@ -130,6 +130,28 @@ class LieAlgebra:
         e = np.zeros(self.dim)
         e[i] = 1.0
         return e
+
+    @functools.cached_property
+    def jacobi_residual(self) -> float:
+        """max|J|, kept; :func:`jacobi_defect` forms it anew on every call."""
+        return jacobi_defect(self)
+
+    @functools.cached_property
+    def jacobi_bound(self) -> float:
+        """The rule's bound EPS_JACOBI * max(1, max P), kept; P = |c| x |c| sizes J's terms."""
+        n, a = self.dim, np.abs(self.c)
+        return EPS_JACOBI * max(1.0, float((a.reshape(n * n, n) @ a.reshape(n, n * n)).max()))
+
+    def require_jacobi(self) -> None:
+        """Raise ValidationError unless max|J| is within a finite jacobi_bound.
+
+        J rounds within (n + 2) u 3 max P, far below the bound at any scale
+        with max P >= 1.  P is formed only for a defect above EPS_JACOBI.
+        """
+        defect = self.jacobi_residual
+        if not (defect <= EPS_JACOBI or defect <= self.jacobi_bound < np.inf):
+            bound = f"{self.jacobi_bound:.3e}"
+            raise ValidationError(f"Jacobi identity violated: defect {defect:.3e} exceeds {bound}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 import tanglie
+from tanglie import cli_io
 from tanglie.cli_io import (
     catalog_algebra,
     load_problem,
@@ -23,7 +24,7 @@ from tanglie.cli_io import (
     run_command,
 )
 from tanglie.errors import ExprError, ParseError, UnknownCatalogEntry, ValidationError
-from tanglie.lie_core import CHECK_TOL, LieAlgebra, center
+from tanglie.lie_core import CHECK_TOL, LieAlgebra, Metric, center, change_basis_constants
 from tanglie.metric_geometry import (
     MetricLieAlgebra,
     levi_civita,
@@ -90,6 +91,9 @@ def test_load_rejects_indefinite_metric(tmp_path):
         load_problem(_write(tmp_path, "npd.json", doc))
 
 
+NON_JACOBI = {(0, 1, 2): 1.0, (0, 2, 2): 1.0, (1, 2, 0): 1.0}  # max|J| = max P = 1
+
+
 def test_load_rejects_jacobi_violation(tmp_path):
     doc = _heisenberg_doc()
     doc["brackets"] = [
@@ -99,6 +103,51 @@ def test_load_rejects_jacobi_violation(tmp_path):
     ]
     with pytest.raises(ValidationError, match="Jacobi"):
         load_problem(_write(tmp_path, "jac.json", doc))
+
+
+def _scaled_doc(c, s, metrics):
+    """A problem file of the bracket s * c, whose entries i < j are written."""
+    c = s * np.asarray(c)
+    return {
+        "schema": "tanglie/1",
+        "dim": c.shape[0],
+        "brackets": [
+            {"i": int(i), "j": int(j), "k": int(k), "value": float(c[i, j, k])}
+            for i, j, k in np.argwhere(c)
+            if i < j
+        ],
+        "metrics": metrics,
+    }
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 1e4, 1e8])
+def test_scaled_brackets_get_scale_free_verdicts(s, tmp_path, capsys):
+    # c and s c are isomorphic by the basis X_i / s, and the Jacobi rule
+    # scales with max P = max |c| x |c| once that reaches 1
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    problems = {name: catalog_algebra(name) for name in CATALOG}
+    cases = [(name, p.algebra().c, p.to_dict()["metrics"]) for name, p in problems.items()]
+    su2 = problems["su2"]
+    rotated = change_basis_constants(su2.algebra(), q)
+    cases.append(("rotated su2", rotated.c, su2.to_dict()["metrics"]))
+    for name, c, metrics in cases:
+        path = _write(tmp_path, "p.json", _scaled_doc(c, s, metrics))
+        assert run_command(["check", path]) == 0, name
+    capsys.readouterr()
+    # the bracket of test_load_rejects_jacobi_violation
+    broken = s * LieAlgebra.from_brackets(3, NON_JACOBI).c
+    path = _write(tmp_path, "bad.json", _scaled_doc(broken, 1.0, _heisenberg_doc()["metrics"]))
+    eye = Metric.identity(3)
+    if s < 10**-4.5:
+        # the defect s^2 max P is under the rule's absolute floor EPS_JACOBI,
+        # which holds while max P < 1: accepted, as by the absolute rule before
+        load_problem(path)
+        build_tangent(LieAlgebra.from_tensor(broken), eye, eye)
+        return
+    with pytest.raises(ValidationError, match="brackets: Jacobi identity violated"):
+        load_problem(path)
+    with pytest.raises(ValidationError, match="Jacobi identity violated"):
+        build_tangent(LieAlgebra.from_tensor(broken), eye, eye)
 
 
 def test_catalog_unknown_entry():
@@ -428,8 +477,8 @@ def _small_g1_docs():
 
 def test_lift_small_metric_passes_jacobi_guard(tmp_path, capsys):
     # max|lifted bracket| is 6.2e3 on aff1; the Jacobi rounding of 3.7e-9
-    # is 1e-16 of its square, which the absolute bound 1e-9 rejected.
-    # `lift` judges the lifted bracket by the same guard as `connection`.
+    # is 1e-16 of its square, which an absolute bound 1e-9 would reject.
+    # Each command judges its input by the one relative rule.
     docs = _small_g1_docs()
     rng = np.random.default_rng(11)
     for name in ("heisenberg", "solvable_rr2", "su2", "aff1"):
@@ -446,6 +495,8 @@ def test_lift_small_metric_passes_jacobi_guard(tmp_path, capsys):
         assert run_command(["lift", small, "-o", out]) == 0, k
         with open(out, encoding="utf-8") as fh:
             assert json.load(fh)["dim"] == 2 * doc["dim"]
+        # the lifted bracket reaches 6.2e3; the Jacobi rule is relative to it
+        assert run_command(["check", out]) == 0, k
     capsys.readouterr()
 
 
@@ -559,8 +610,6 @@ def test_lift_round_trip(tmp_path, capsys):
 
 
 def test_lift_document_is_the_tangent_bit_for_bit(tmp_path, capsys):
-    # read back with from_brackets: the load-time Jacobi check of a problem
-    # file refuses the documents of the small-g1 pairs
     rng = np.random.default_rng(SWEEP_SEED)
     docs = _small_g1_docs()
     for name in CATALOG:
@@ -579,8 +628,7 @@ def test_lift_document_is_the_tangent_bit_for_bit(tmp_path, capsys):
             assert json.load(fh) == emitted, k
         problem = load_problem(path)
         t = build_tangent(problem.algebra(), problem.metric("g1"), problem.metric("g2"))
-        entries = {(e["i"], e["j"], e["k"]): e["value"] for e in emitted["brackets"]}
-        rebuilt = LieAlgebra.from_brackets(emitted["dim"], entries, tuple(emitted["basis"]))
+        rebuilt = load_problem(out).algebra()
         assert rebuilt.c.tobytes() == t.lifted.c.tobytes(), k
         assert tuple(emitted["basis"]) == t.lifted.basis_labels, k
         meta = emitted["meta"]
@@ -766,6 +814,33 @@ def test_exit_codes(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+
+
+def ref_non_finite(val, path):
+    """The report walk that called numpy once per float, kept as the reference."""
+    if isinstance(val, (dict, list)):
+        keys = val if isinstance(val, dict) else range(len(val))
+        return next(filter(None, (ref_non_finite(val[k], f"{path}.{k}") for k in keys)), None)
+    if isinstance(val, (float, np.ndarray)) and not np.all(np.isfinite(val)):
+        return path
+    return None
+
+
+def test_non_finite_walk_matches_its_reference():
+    leaves = [1.5, np.float64(2.0), 3, True, None, "x", np.arange(4.0), np.eye(2)]
+    bad = [np.nan, -np.inf, np.float64(np.inf), np.array([1.0, np.nan]), np.full((2, 2), np.inf)]
+
+    def nest(leaf, depth):
+        return {"a": [leaves, {"b": leaf, "c": leaves}], "d": leaf} if depth else leaf
+
+    values = [leaves, {"k": leaves}, {}, [], nest(1.0, 2)]
+    for leaf in bad:
+        values += [leaf, [1.0, leaf], {"x": 1, "y": [None, leaf, np.nan]}]
+        values += [nest(leaf, depth) for depth in (1, 2)]
+        values += [[*leaves, leaf], {str(i): v for i, v in enumerate([*leaves, leaf])}]
+    for val in values:
+        assert cli_io._non_finite(val, "report") == ref_non_finite(val, "report")
+    assert cli_io._non_finite(nest(np.nan, 2), "report") == "report.a.1.b"
 
 
 def test_non_finite_report_is_refused(tmp_path, capsys):
@@ -1010,7 +1085,8 @@ def test_ladder_times_every_stage():
         assert "lifted_sectional" in row["ms"] and "lifted_sectional_riem" in row["ms"]
         # the block products apart from the deviation reduction around them
         assert "curvature_blocks" in row["ms"] and "curvature_block_deviations" in row["ms"]
-        assert "lift" in row["ms"]  # the command, from the problem file to the report
+        # the commands, from the problem file to the report
+        assert "lift" in row["ms"] and "connection" in row["ms"] and "check" in row["ms"]
     assert all(v >= 0 for part in out["3"].values() for v in part.values())
     for part in out["5"].values():
         skipped = [name for name, v in part.items() if v is None]
@@ -1019,6 +1095,7 @@ def test_ladder_times_every_stage():
         ] + ["lifted_sectional_riem"]
         assert part["build_tangent"] >= 0 and part["lifted_connection_closed_form"] >= 0
         assert part["levi_civita"] >= 0 and part["lifted_sectional"] >= 0 and part["lift"] >= 0
+        assert part["connection"] >= 0 and part["check"] >= 0
 
 
 def test_trace_targets_resolve():

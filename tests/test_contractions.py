@@ -24,9 +24,10 @@ connections and the raw lift bracket are compared by ``tobytes``, since
 ``np.array_equal`` ignores the sign of a zero and the reports print it.  The six curvature blocks are the exception: their matrix
 products sum in another order than the inline einsums of
 ``test_tangent_lift``, so both must lie within the rounding bound that
-``block_rounding_bound`` derives.  So do the lifted Jacobi guard, which
-weighs c's own Jacobi sum, and its reference, which multiplies the (C, V)
-blocks of the lift; ``guard_rounding_bound`` derives their bound.
+``block_rounding_bound`` derives.  So do the Jacobi verdict that an
+algebra keeps and its einsum reference, and the (C, C, V) Jacobi sum of
+the lift, formed from its (C, V) blocks, and the weighted copy of c's own
+sum that stands for it; ``guard_rounding_bound`` derives their bound.
 
 The base residuals that reduce in the buffers they own, and
 ``equivariance_defect``, which holds one curvature tensor at a time, must
@@ -35,14 +36,16 @@ three algebras of the equivariance benchmark with two seeded draws each,
 and on the large Heisenberg automorphism.
 """
 
+import functools
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tanglie import cli_io, metric_geometry, tangent_lift
+from tanglie import cli_io, lie_core, metric_geometry, tangent_lift
 from tanglie.cli_io import catalog_algebra, run_command
 from tanglie.errors import PreconditionViolated, ValidationError
 from tanglie.lie_core import (
@@ -74,7 +77,6 @@ from tanglie.metric_geometry import (
     sectional,
 )
 from tanglie.tangent_lift import (
-    _lifted_jacobi_defects,
     build_tangent,
     compute_phi,
     curvature_block_deviations,
@@ -825,8 +827,10 @@ def test_curvature_blocks_within_rounding_of_their_references(lift_case):
 
 
 def _parity_guard(c, lambdas):
+    """The lifted bracket and the larger defect of its two Jacobi classes."""
     b = lifted_bracket(c, lambdas)
-    classes = _lifted_jacobi_defects(c, np.sqrt(lambdas))
+    n = c.shape[0]
+    classes = ref_lifted_jacobi_defects(c, b[n:, :n, :n], b[:n, n:, :n])
     return b, max(defect for defect, _ in classes)
 
 
@@ -857,19 +861,13 @@ def test_parity_guard_sees_a_broken_bracket(seed):
     assert full >= jacobi_defect(broken)  # the complete block copies c
     assert abs(guard - full) <= GATE * np.max(ref_jacobi_product(np.abs(b)))
     g1, g2 = random_spd_metric(rng, n), random_spd_metric(rng, n)
-    with pytest.raises(ValidationError, match="lifted bracket violates Jacobi: defect"):
+    with pytest.raises(ValidationError, match="Jacobi identity violated: defect"):
         build_tangent(broken, g1, g2)
     # a NaN defect fails the bound too: finite constants whose Jacobi terms overflow
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValidationError, match="lifted bracket violates Jacobi: defect nan"
+        ValidationError, match="Jacobi identity violated: defect nan"
     ):
         build_tangent(LieAlgebra.from_tensor(1e200 * broken.c), g1, g2)
-
-
-def _nan_tensor():
-    c = np.zeros((5, 5, 5))
-    c[0, 1, 2], c[1, 0, 2] = np.nan, -np.nan
-    return c
 
 
 def _h5_spread(seed):
@@ -886,12 +884,12 @@ def _h5_spread(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parity_guard_scales_each_class_by_its_own_products(seed):
     # under lambda = 1e8 .. 1e-8 the (C, V) blocks reach 1e8, while the
-    # (C, C, C) sum is c's own Jacobi sum and rounds at the size of |c| x |c|
+    # verdict judges c alone and rounds at the size of |c| x |c|
     algebra, broken, g1, g2 = _h5_spread(seed)
     t = build_tangent(algebra, g1, g2)
     assert np.max(np.abs(t.lifted.c)) > 1e7
     assert jacobi_defect(broken) > 1e-3
-    with pytest.raises(ValidationError, match="lifted bracket violates Jacobi"):
+    with pytest.raises(ValidationError, match="Jacobi identity violated"):
         build_tangent(broken, g1, g2)
 
 
@@ -903,52 +901,55 @@ def guard_rounding_bound(n):
     two square roots, a division, the einsum's two products and the halved
     difference of ``LieAlgebra`` are six roundings per entry, so a product
     of two carries 13.  Its length-n sum adds n - 1 and the cyclic sum two
-    more.  The guard rounds J's terms n + 2 times and their weight
-    sqrt(lambda_h) / sqrt(lambda_k) five times.  Its scale P x weight rounds
-    n + 5 times per term, the reference's at most n + 13.  So each residual
-    entry of either side is within gamma_{n + 14} times the sum of its
-    three terms' absolute values of the exact sum, and each raw scale within
-    gamma_{n + 14} of the exact largest term (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    more.  The weighted copy of c's own sum rounds J's terms n + 2 times
+    and their weight sqrt(lambda_h) / sqrt(lambda_k) five times.  The kept
+    verdict and its einsum reference round J's terms n + 2 times and P's
+    n times, and the bound EPS_JACOBI * max(1, P), read back as a scale,
+    two more.  So each residual entry of any side is within gamma_{n + 14}
+    times the sum of its three terms' absolute values of the exact sum, and
+    each raw scale within gamma_{n + 14} of the exact largest term (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
     """
     m = n + 14
     u = Fraction(1, 2**53)
     return m * u / (1 - m * u)
 
 
-def _guard_verdicts(c, lambdas):
-    """Each class's verdict, after checking it and its (defect, scale) against the reference.
+def _guard_verdict(c):
+    """The verdict an algebra keeps on c, after checking its defect and bound against the reference.
 
-    With s* the exact largest term of a sum and gamma the bound above, each
-    term of the sum is at most s*, and each scale is at least (1 - gamma) s*.
-    The residuals of the two sides then differ entrywise by at most
-    2 gamma 3 s*, so the defects by 6 gamma / (1 - gamma) times the
-    reference scale, and the scales by 2 gamma / (1 - gamma) times it:
-    max(1, .) narrows a gap.  A verdict can differ only for a reference
-    defect that close to EPS_JACOBI times its scale, and no input here is.
+    With s* the exact max(1, max P) and gamma the bound above, each term of
+    J is at most s*, and each scale is at least (1 - gamma) s*.  The
+    residuals of the two sides then differ entrywise by at most 2 gamma 3 s*,
+    so the defects by 6 gamma / (1 - gamma) times the reference scale, and
+    the scales by 2 gamma / (1 - gamma) times it: max(1, .) narrows a gap.
+    A verdict can differ only for a reference defect that close to
+    EPS_JACOBI times its scale, and no input here is.
     """
-    n = c.shape[0]
-    b = lifted_bracket(c, lambdas)
-    got = _lifted_jacobi_defects(c, np.sqrt(lambdas))
-    want = ref_lifted_jacobi_defects(c, b[n:, :n, :n], b[:n, n:, :n])
+    algebra = LieAlgebra.from_tensor(c)
+    n = algebra.dim
+    defect, scale = algebra.jacobi_residual, algebra.jacobi_bound / EPS_JACOBI
+    try:
+        algebra.require_jacobi()
+        verdict = True
+    except ValidationError:
+        verdict = False
+    ref_defect = ref_jacobi_defect(algebra.c)
+    ref_scale = max(1.0, float(np.max(ref_jacobi_product(np.abs(algebra.c)))))
     gamma = float(guard_rounding_bound(n))
-    verdicts = []
-    for (defect, scale), (ref_defect, ref_scale) in zip(got, want):
-        assert abs(scale - ref_scale) <= 2.0 * gamma / (1.0 - gamma) * ref_scale
-        verdict = defect <= EPS_JACOBI * scale
-        if np.isnan(ref_defect):
-            assert np.isnan(defect) and not verdict
-        else:
-            assert abs(defect - ref_defect) <= 6.0 * gamma / (1.0 - gamma) * ref_scale
-            margin = (6.0 + 2.0 * EPS_JACOBI) * gamma / (1.0 - gamma) * ref_scale
-            assert abs(ref_defect - EPS_JACOBI * ref_scale) > margin
-            assert verdict == (ref_defect <= EPS_JACOBI * ref_scale)
-        verdicts.append(verdict)
-    return verdicts
+    if np.isnan(ref_defect):
+        assert np.isnan(defect) and not verdict
+        return verdict
+    assert abs(scale - ref_scale) <= 2.0 * gamma / (1.0 - gamma) * ref_scale
+    assert abs(defect - ref_defect) <= 6.0 * gamma / (1.0 - gamma) * ref_scale
+    margin = (6.0 + 2.0 * EPS_JACOBI) * gamma / (1.0 - gamma) * ref_scale
+    assert abs(ref_defect - EPS_JACOBI * ref_scale) > margin
+    assert verdict == (ref_defect <= EPS_JACOBI * ref_scale)
+    return verdict
 
 
 def _guard_input(label):
-    """(c, lambdas) exactly as ``build_tangent`` hands them to the guard."""
+    """(c, lambdas) of the lift frame: the rebased bracket and the eigenvalues it is lifted by."""
     kind, _, arg = label.partition(":")
     if kind == "lift":
         t = _lift_tangent(arg)
@@ -956,11 +957,21 @@ def _guard_input(label):
     if kind == "broken":
         _, broken, lambdas = _broken_bracket(int(arg))
         return broken.c, lambdas
-    if kind == "nan":  # LieAlgebra refuses it; the guard must fail it all the same
-        return _nan_tensor(), np.sort(np.random.default_rng(1).uniform(0.5, 4.0, 5))
     _, broken, g1, g2 = _h5_spread(int(arg))  # h5
     data = compute_phi(g1, g2)
     return change_basis_constants(broken, data.b1).c, data.lambdas
+
+
+def _verdict_input(label):
+    """The bracket whose verdict ``build_tangent`` reads: the input's, unrebased."""
+    kind, _, arg = label.partition(":")
+    if kind == "lift":
+        return _lift_tangent(arg).input_algebra.c
+    if kind == "broken":
+        return _broken_bracket(int(arg))[1].c
+    if kind == "nan":  # finite constants whose Jacobi terms overflow to NaN
+        return 1e200 * _broken_bracket(1)[1].c
+    return _h5_spread(int(arg))[1].c
 
 
 GUARD_INPUTS = (
@@ -973,9 +984,10 @@ GUARD_INPUTS = (
 
 @pytest.mark.parametrize("label", GUARD_INPUTS)
 def test_lifted_jacobi_guard_matches_its_reference(label):
-    verdicts = _guard_verdicts(*_guard_input(label))
-    # every lift case passes; every broken bracket fails in some class
-    assert all(verdicts) == label.startswith("lift:")
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = _guard_verdict(_verdict_input(label))
+    # every lift case passes; every broken bracket fails
+    assert verdict == label.startswith("lift:")
 
 
 def _rotated_heisenberg(n, rng):
@@ -991,11 +1003,19 @@ def test_lifted_jacobi_guard_verdicts_sweep(n, spread):
     rng = np.random.default_rng(1000 * n + int(np.log10(spread)))
     c = _rotated_heisenberg(n, rng)
     lambdas = np.logspace(0, np.log10(spread), n)[rng.permutation(n)]
+    g1, g2 = Metric.identity(n), Metric(np.diag(lambdas))
     verdicts = []
     for eps in np.logspace(-14, -3, 12):
         perturbation = rng.standard_normal((n, n, n))
         broken = LieAlgebra.from_tensor(c + eps * (perturbation - perturbation.transpose(1, 0, 2)))
-        verdicts += _guard_verdicts(broken.c, lambdas)
+        verdict = _guard_verdict(broken.c)
+        # the verdict is on c alone, so the metrics cannot move it
+        if verdict:
+            build_tangent(broken, g1, g2)
+        else:
+            with pytest.raises(ValidationError, match="Jacobi identity violated"):
+                build_tangent(broken, g1, g2)
+        verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
 
@@ -1017,11 +1037,11 @@ def test_ccv_sum_is_weighted_jacobi_sum(label):
 
 
 def test_build_tangent_peak_memory():
-    # the guard holds two n^4 arrays at a time: the product and the Jacobi
-    # sum J, then J and |J|, then P and P * worst.  Beside them live the
-    # lifted (2n)^3 bracket and n^3 arrays (c, base c, |c| twice, worst)
-    # that stay under one more (2n)^3 = 8 n^3.  The (C, V) block products
-    # the guard replaced held 34 MB here.
+    # the input's verdict holds two n^4 arrays at a time: the product and
+    # the Jacobi sum J, taken |.| in place.  Beside them live the lifted
+    # (2n)^3 bracket and n^3 arrays (c, base c) that stay under one more
+    # (2n)^3 = 8 n^3.  The (C, V) block products of an earlier guard on the
+    # lifted bracket held 34 MB here.
     n = 25
     rng = np.random.default_rng(n)
     m = (n - 1) // 2
@@ -1118,3 +1138,75 @@ def test_lift_command_loads_its_input_once_and_forms_no_connection(monkeypatch):
         monkeypatch.setattr(module, "levi_civita", counted)
     assert run_command(["lift", "heisenberg", "--json"]) == 0
     assert (len(loads), len(calls)) == (1, 0)  # the catalog entry; no reload
+
+
+def _count_jacobi_work(monkeypatch):
+    """Count the Jacobi sums J and the term sizes P, for the bound, that lie_core forms."""
+    counts = {"J": 0, "P": 0}
+    form_sum, form_bound = lie_core._jacobi_sum, LieAlgebra.jacobi_bound.func
+
+    def counted_sum(c):
+        counts["J"] += 1
+        return form_sum(c)
+
+    def counted_bound(algebra):
+        counts["P"] += 1
+        return form_bound(algebra)
+
+    bound = functools.cached_property(counted_bound)
+    bound.__set_name__(LieAlgebra, "jacobi_bound")
+    monkeypatch.setattr(lie_core, "_jacobi_sum", counted_sum)
+    monkeypatch.setattr(LieAlgebra, "jacobi_bound", bound)
+    return counts
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_each_command_forms_the_jacobi_sum_once(monkeypatch, capsys, name):
+    # the verdict is formed at load and kept on the problem's one algebra,
+    # which build_tangent and check read; only check forms P, for its bound
+    counts = _count_jacobi_work(monkeypatch)
+    for argv, formed in (
+        (["connection", name, "--metric", "lift"], {"J": 1, "P": 0}),
+        (["sectional", name, "--plane", "X^v,Y^c"], {"J": 1, "P": 0}),
+        (["lift", name], {"J": 1, "P": 0}),
+        (["check", name], {"J": 1, "P": 1}),
+    ):
+        counts.update(J=0, P=0)
+        assert run_command(argv) == 0, argv
+        assert counts == formed, argv
+    capsys.readouterr()
+
+
+def test_borderline_bracket_gets_one_verdict_from_every_command(tmp_path, capsys):
+    # the eps = 1e-10 bracket of the n = 5, spread 1e4 sweep: max|J| =
+    # 3.86e-10 under the bound 1e-9.  A guard on the lifted bracket once
+    # refused it under these metrics, in the lift commands alone.
+    n, spread = 5, 1e4
+    rng = np.random.default_rng(1000 * n + int(np.log10(spread)))
+    c = _rotated_heisenberg(n, rng)
+    lambdas = np.logspace(0, np.log10(spread), n)[rng.permutation(n)]
+    for eps in np.logspace(-14, -10, 5):  # the sweep's draws up to eps = 1e-10
+        perturbation = rng.standard_normal((n, n, n))
+    broken = LieAlgebra.from_tensor(c + eps * (perturbation - perturbation.transpose(1, 0, 2)))
+    assert 3e-10 < jacobi_defect(broken) < EPS_JACOBI
+    doc = {
+        "schema": "tanglie/1",
+        "dim": n,
+        "brackets": [
+            {"i": int(i), "j": int(j), "k": int(k), "value": float(broken.c[i, j, k])}
+            for i, j, k in np.argwhere(broken.c)
+            if i < j
+        ],
+        "metrics": {"g1": np.eye(n).tolist(), "g2": np.diag(lambdas).tolist()},
+    }
+    path = tmp_path / "borderline.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["check", str(path)],
+        ["field", str(path), "--vector", "X1"],
+        ["connection", str(path), "--metric", "g2"],
+        ["connection", str(path), "--metric", "lift"],
+        ["sectional", str(path), "--plane", "X1^v,X2^c"],
+    ):
+        assert run_command(argv) == 0, argv
+    capsys.readouterr()

@@ -148,6 +148,20 @@ def test_non_jacobi_table_has_positive_defect():
     npt.assert_allclose(jacobi_defect(bad), worst, atol=1e-14)
 
 
+def test_jacobi_verdict_refuses_an_overflowing_defect():
+    # [X1, X2] = a X3 and [X3, X4] = a X5 break Jacobi by a^2; at a = 1e200
+    # one term overflows to inf with no inf - inf, so max|J| and the bound
+    # are both inf, and an infinite bound judges nothing
+    a = 1e200
+    c = np.zeros((5, 5, 5))
+    c[0, 1, 2], c[1, 0, 2], c[2, 3, 4], c[3, 2, 4] = a, -a, a, -a
+    assert jacobi_defect(LieAlgebra.from_tensor(c / a)) == 1.0
+    algebra = LieAlgebra.from_tensor(c)
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="defect inf"):
+        algebra.require_jacobi()
+    assert algebra.jacobi_residual == algebra.jacobi_bound == np.inf
+
+
 # ---------------------------------------------------------------------------
 # center
 # ---------------------------------------------------------------------------

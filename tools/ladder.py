@@ -7,9 +7,11 @@ before, so a connection derived once per tangent is derived again every
 time.  The best time in ms and the peak of memory allocated during one
 more call, in MiB as ``tracemalloc`` counts it, are printed as JSON, one
 object per n.  Only public library functions are timed, so two checkouts
-compare stage by stage.  The two connection stages are the closed form
-and ``levi_civita`` of the lift, the route of the structure-constant
-sums.  The curvature stages work on a tangent whose closed form is
+compare stage by stage.  The ``build_tangent`` stage takes an algebra
+built just before from the structure constants, so the Jacobi verdict
+that an algebra keeps is formed in every call.  The two connection
+stages are the closed form and ``levi_civita`` of the lift, the route of
+the structure-constant sums.  The curvature stages work on a tangent whose closed form is
 already derived: ``curvature`` is ``lifted_curvature``, ``curvature_r``
 is the same call followed by a read of its full (2n)^4 tensor ``.r``,
 which a graded tensor assembles on demand, and the invariant, block and
@@ -19,9 +21,13 @@ The two plane stages take the sectional curvature of one seeded plane:
 the curvature tensor.  The stages on the curvature tensor are skipped and
 printed as null where its 8 stored n^4 blocks would take more than
 ``TENSOR_BUDGET`` bytes, and ``curvature_r`` also where the full tensor
-would.  The ``lift`` stage is the command ``tanglie lift FILE --json``
-run in-process, with its output captured, on the h_n problem written to
-a file once per n: the load, the tangent and the emitted document.
+would.  The ``lift``, ``connection`` and ``check`` stages are the
+commands ``tanglie lift FILE --json``, ``tanglie connection FILE --metric
+lift`` and ``tanglie check FILE`` run in-process, with their output
+captured, on the h_n problem written to a file once per n: the load, the
+work of the command and the emitted report.  The last two print text, in
+which a tensor is one line, so their time is not that of writing (2n)^3
+numbers as JSON.
 
 Usage (from anywhere)::
 
@@ -59,6 +65,8 @@ STAGES = (
     "curvature_block_deviations",
     "lifted_sectional_riem",
     "lift",
+    "connection",
+    "check",
 )
 
 
@@ -72,14 +80,14 @@ def heisenberg(n: int) -> np.ndarray:
     return c
 
 
-def lift_command(path: str) -> None:
-    """Run ``tanglie lift PATH --json`` in-process and drop its report."""
+def command(*argv: str) -> None:
+    """Run ``tanglie ARGV`` in-process and drop its report."""
     from tanglie.cli_io import run_command
 
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run_command(["lift", path, "--json"])
+        code = run_command(list(argv))
     if code != 0:
-        raise RuntimeError(f"tanglie lift {path} exited {code}")
+        raise RuntimeError(f"tanglie {' '.join(argv)} exited {code}")
 
 
 def ladder(sizes, repeat, workdir) -> dict:
@@ -106,11 +114,13 @@ def ladder(sizes, repeat, workdir) -> dict:
         warm = tl.build_tangent(algebra, g1, g2)
         tl.lifted_connection_closed_form(warm)
         stages = {  # each takes a tangent on which nothing is derived yet
-            "build_tangent": lambda t: tl.build_tangent(algebra, g1, g2),
+            "build_tangent": lambda t: tl.build_tangent(LieAlgebra.from_tensor(c), g1, g2),
             "lifted_connection_closed_form": tl.lifted_connection_closed_form,
             "levi_civita": lambda t: mg.levi_civita(t.lifted_mla()),
             "lifted_sectional": lambda t: tl.lifted_sectional(warm, u, v),
-            "lift": lambda t: lift_command(path),
+            "lift": lambda t: command("lift", path, "--json"),
+            "connection": lambda t: command("connection", path, "--metric", "lift"),
+            "check": lambda t: command("check", path),
         }
         if 8 * 8 * n**4 <= TENSOR_BUDGET:
             riem = tl.lifted_curvature(warm)
