@@ -56,6 +56,8 @@ from .lie_core import (
     EPS_SYM,
     LieAlgebra,
     Metric,
+    _term_size,
+    ad_matrix,
     is_automorphism,
     pullback_metric,
 )
@@ -604,13 +606,14 @@ def _cmd_check(args, report: Report):
         eq23 = mg.canonical_metricity_defect(mla)
         eq24 = mg.double_bracket_defect(mla)
         tol = report.tol if report.tol is not None else CHECK_TOL
+        c, g = algebra.c, metric.g  # the terms: c g for bi-invariance, c c g for eq24
         payload["metrics"][name] = {
-            "min_cholesky_pivot": float(np.min(np.diag(np.linalg.cholesky(metric.g))) ** 2),
-            "bi_invariant": bool(bi <= tol),
+            "min_cholesky_pivot": float(np.min(np.diag(np.linalg.cholesky(g))) ** 2),
+            "bi_invariant": bool(bi <= tol * _term_size(c, g)),
             "bi_invariance_residual": bi,
             "canonical_metricity_defect": eq23,
             "double_bracket_residual": eq24,
-            "satisfies_double_bracket_condition": bool(eq24 <= tol),
+            "satisfies_double_bracket_condition": bool(eq24 <= tol * _term_size(c, c, g)),
         }
     report.result = payload
 
@@ -723,18 +726,17 @@ def _cmd_field(args, report: Report):
     cls = mg.classify_field(mla1, mla2, x, tol)
     geo1 = mg.is_geodesic_vector(mla1, mg.levi_civita(mla1), x, tol)
     geo2 = mg.is_geodesic_vector(mla2, mg.levi_civita(mla2), x, tol)
-    # direct check on the lift: vertical lifts are Killing exactly for
-    # central vectors.  Being Killing does not depend on the frame, so the
-    # raw lift {X_i^v, X_i^c} of the input basis with blockdiag(g2, g1) serves.
-    lifted = mg.MetricLieAlgebra(
-        tl.tangent_algebra_unnormalized(algebra),
-        Metric(tl.lift_automorphism(mla1.metric.g, mla2.metric.g)),
-    )
+    # x^v is Killing iff x is central, by L_{x^v} = -[[0, g2 ad(x)], [ad(x)^T g2, 0]] on
+    # the raw lift {X_i^v, X_i^c} with blockdiag(g2, g1); being Killing needs no frame.
+    g2, n, raw = mla2.metric.g, algebra.dim, tl.tangent_algebra_unnormalized(algebra)
+    lifted = mg.MetricLieAlgebra(raw, Metric(tl.lift_automorphism(mla1.metric.g, g2)))
     lift_l = mg.lie_derivative_metric(lifted, np.concatenate([x, np.zeros_like(x)]))
-    vertical_killing = float(np.max(np.abs(lift_l))) <= tol
-    report.check_bool(
-        "vertical_killing_iff_central", vertical_killing == cls.in_center
-    )
+    bound = tol * _term_size(algebra.c, x, g2)  # only g2 meets x^v
+    vertical_killing = float(np.max(np.abs(lift_l))) <= bound
+    g2_ad = g2 @ ad_matrix(algebra, x)
+    lift_l[:n, n:] += g2_ad
+    lift_l[n:, :n] += g2_ad.T
+    report.check_bool("vertical_killing_iff_central", float(np.max(np.abs(lift_l))) <= bound)
     report.result = {
         "vector": args.vector.strip(),
         "killing": {"g1": cls.killing1, "g2": cls.killing2},

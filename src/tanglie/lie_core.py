@@ -40,6 +40,14 @@ def _symmetric_part(a: np.ndarray, anti: bool = False) -> np.ndarray:
     return _freeze(0.5 * a - half if anti else 0.5 * a + half)
 
 
+def _term_size(*factors: np.ndarray) -> float:
+    """Size of the terms of the factors' product: the product of max|x| = max(max x, -min x)."""
+    size = 1.0
+    for f in factors:
+        size *= max(f.max(initial=0.0), -f.min(initial=0.0))
+    return float(size)
+
+
 def _checked_symmetric(a, error: type, what: str, anti: bool = False) -> np.ndarray:
     """The exact (anti)symmetric part of a square, finite matrix a.
 
@@ -172,10 +180,10 @@ class Metric:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise NonPositiveDefinite("metric is not positive-definite") from None
-        if np.min(np.diag(chol)) ** 2 <= EPS_PD:
+        pivot = np.min(np.diag(chol)) ** 2
+        if pivot <= EPS_PD:
             raise NonPositiveDefinite(
-                f"smallest Cholesky pivot {np.min(np.diag(chol)) ** 2:.3e} "
-                f"not above {EPS_PD:.1e}"
+                f"smallest Cholesky pivot {pivot:.3e} not above {EPS_PD:.1e}"
             )
         object.__setattr__(self, "g", g)
 
@@ -185,9 +193,6 @@ class Metric:
 
     def inner(self, x, y) -> float:
         return float(np.asarray(x) @ self.g @ np.asarray(y))
-
-    def norm(self, x) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
     def inv(self) -> np.ndarray:
         inv = self.__dict__.get("_inv")

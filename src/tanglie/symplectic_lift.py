@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, NotSymplecticInput, ValidationError
-from .lie_core import LieAlgebra, _checked_symmetric, _symmetric_part
+from .lie_core import LieAlgebra, _checked_symmetric, _symmetric_part, _term_size
 from .tangent_lift import TangentLieAlgebra
 
 RTOL = 1e-9  # relative tolerance of every symplectic verdict
@@ -55,17 +55,12 @@ def cocycle_defect(algebra: LieAlgebra, form: TwoForm) -> float:
     return float(np.max(np.abs(_cocycle_tensor(algebra.c, form.w))))
 
 
-def _cocycle_scale(c: np.ndarray, w: np.ndarray) -> float:
-    """Size of a cocycle sum's terms: each w([X_i, X_j], X_k) is sum_m c_ijm w_mk."""
-    return float(abs(c).max() * abs(w).max())
-
-
 def is_symplectic(algebra: LieAlgebra, form: TwoForm) -> bool:
     """Cocycle residual <= RTOL*max|c|*max|w| and sigma_min > RTOL*sigma_max.
 
     The second refuses odd dimension and the zero form as well.
     """
-    if cocycle_defect(algebra, form) > RTOL * _cocycle_scale(algebra.c, form.w):
+    if cocycle_defect(algebra, form) > RTOL * _term_size(algebra.c, form.w):
         return False
     singular = np.linalg.svd(form.w, compute_uv=False)
     return bool(singular[-1] > RTOL * singular[0])
@@ -137,7 +132,7 @@ def relative_closedness(t: TangentLieAlgebra, wt: TwoForm) -> dict[str, float]:
     """
     n = t.dim
     raw = wt.w[n:] * np.concatenate([t.phi_data.sqrt_lambdas, np.ones(n)])  # rows X_i^c
-    w2, w1 = _cocycle_scale(t.base.c, raw[:, :n]), _cocycle_scale(t.base.c, raw[:, n:])
+    w2, w1 = _term_size(t.base.c, raw[:, :n]), _term_size(t.base.c, raw[:, n:])
     size = {"ccc": w1, "ccv": w2, "cvc": w2, "vcc": w2}
     residual = verify_closedness_identities(t, wt)
     return {p: residual[p] / s if s else residual[p] for p, s in size.items()}

@@ -72,6 +72,7 @@ import numpy as np
 from .errors import InvalidDimension, NonPositiveDefinite, ValidationError
 from .lie_core import (
     CHECK_TOL,
+    EPS_PD,
     LieAlgebra,
     Metric,
     _freeze,
@@ -131,7 +132,7 @@ def compute_phi(g1: Metric, g2: Metric) -> PhiData:
     form a cluster, whose eigenvectors are re-fixed deterministically:
     Gram-Schmidt with respect to g1 applied to the projections of the
     input basis vectors, taken in input order, discarding projections of
-    g1-norm below ``DROP_TOL``.
+    g1-norm below ``DROP_TOL``.  Refuses a smallest eigenvalue not above ``EPS_PD``.
     """
     if g1.dim != g2.dim:
         raise InvalidDimension(f"metric dims {g1.dim} and {g2.dim} differ")
@@ -140,8 +141,10 @@ def compute_phi(g1: Metric, g2: Metric) -> PhiData:
     white = np.linalg.solve(chol, np.linalg.solve(chol, g2.g).T)
     lam, w = np.linalg.eigh(0.5 * (white + white.T))
     vecs = np.linalg.solve(chol.T, w)
-    if lam[0] <= 0:
-        raise NonPositiveDefinite("metric pair produced a non-positive eigenvalue")
+    if lam[0] <= EPS_PD:
+        raise NonPositiveDefinite(
+            f"metric pair (g1, g2): lambda_min of g1^-1 g2 {lam[0]:.3e} not above {EPS_PD:.1e}"
+        )
 
     b1 = np.empty((n, n))
     start = 0

@@ -46,6 +46,15 @@ def catalog_problem(request):
     return catalog_algebra(request.param)
 
 
+def base_expr(labels, x) -> str:
+    """A base-vector expression with exactly the coefficients of x."""
+    # the grammar has no leading sign, so open with a zero term
+    return f"0*{labels[0]}" + "".join(
+        f" {'-' if v < 0 else '+'} {float(abs(v))!r}*{label}"
+        for v, label in zip(x, labels)
+    )
+
+
 def h7_doc(seed, spread):
     """tanglie/1 document of h7 with an ill-conditioned rotated metric pair.
 

@@ -34,7 +34,7 @@ from tanglie.metric_geometry import (
 from tanglie.tangent_lift import build_tangent, compute_phi, vertical_lift
 
 import tracing
-from conftest import CATALOG, SWEEP_SEED, h7_doc
+from conftest import CATALOG, SWEEP_SEED, base_expr, h7_doc
 
 
 def _write(tmp_path, name, doc):
@@ -350,14 +350,6 @@ def _normalized_frame_vertical_killing(problem, x) -> bool:
     return float(np.max(np.abs(lie_l))) <= CHECK_TOL
 
 
-def _base_expr(labels, x) -> str:
-    # the grammar has no leading sign, so open with a zero term
-    return f"0*{labels[0]}" + "".join(
-        f" {'-' if v < 0 else '+'} {float(abs(v))!r}*{label}"
-        for v, label in zip(x, labels)
-    )
-
-
 @pytest.mark.parametrize("name", CATALOG)
 def test_field_vertical_lift_killing_matches_normalized_frame(name, tmp_path, capsys):
     rng = np.random.default_rng(SWEEP_SEED)
@@ -382,7 +374,7 @@ def test_field_vertical_lift_killing_matches_normalized_frame(name, tmp_path, ca
         path = _write(tmp_path, f"p{k}.json", doc)
         for x in vectors:
             code = run_command(
-                ["field", path, "--vector", _base_expr(algebra.basis_labels, x), "--json"]
+                ["field", path, "--vector", base_expr(algebra.basis_labels, x), "--json"]
             )
             result = json.loads(capsys.readouterr().out)["result"]
             assert code == 0
@@ -814,6 +806,75 @@ def test_exit_codes(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+
+
+def _refusal_docs():
+    no_forms = catalog_algebra("abelian2").to_dict()
+    del no_forms["symplectic"]
+    no_g2 = _heisenberg_doc()
+    del no_g2["metrics"]["g2"]
+    text_g1, ragged_g1 = _heisenberg_doc(), _heisenberg_doc()
+    text_g1["metrics"]["g1"] = "eye"
+    ragged_g1["metrics"]["g1"] = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+    return {"no_forms": no_forms, "no_g2": no_g2, "text_g1": text_g1, "ragged_g1": ragged_g1}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equiv", "heisenberg", "--tau", "nope"],
+         "ValidationError: automorphisms.nope: not present in problem"),
+        (["symplectic", "{no_forms}"], "ValidationError: symplectic.w1: not present in problem"),
+        (["connection", "{no_g2}", "--metric", "lift"],
+         "ValidationError: metrics.g2: not present in problem"),
+        (["field", "{no_g2}", "--vector", "X"],
+         "ValidationError: metrics.g2: not present in problem"),
+        (["curvature", "heisenberg", "--metric", "g1", "--compare"],
+         "ValidationError: --compare applies only to the lifted metric"),
+        (["connection", "heisenberg", "--metric", "g1", "--method", "closed"],
+         "ValidationError: method 'closed' applies only to the lifted metric"),
+        (["sectional", "heisenberg", "--plane", "X^v"],
+         "ExprError: plane needs exactly two comma-separated expressions (column 0)"),
+        (["sectional", "heisenberg", "--plane", "X,Y^v"],
+         "ExprError: expected '^c' or '^v' after label (column 1)"),
+        (["field", "heisenberg", "--vector", "X Y"],
+         "ExprError: expected '+' or '-' between terms (column 2)"),
+        (["field", "heisenberg", "--vector", "X^"],
+         "ExprError: lift suffix not allowed in a base-vector expression (column 1)"),
+        (["check", "{text_g1}"], "ValidationError: metrics.g1: not a numeric matrix"),
+        (["check", "{ragged_g1}"], "ValidationError: metrics.g1: not a numeric matrix"),
+        (["check", "heisenberg", "--tol", "abc"],
+         "argument --tol: tolerance must be finite and >= 0, got 'abc'"),
+        (["check", "{dir}"], "ParseError: cannot read {dir}: [Errno 21] Is a directory"),
+    ],
+)
+def test_refusal_prints_one_error_line(argv, message, tmp_path, capsys):
+    paths = {name: _write(tmp_path, f"{name}.json", doc) for name, doc in _refusal_docs().items()}
+    paths["dir"] = str(tmp_path)
+    assert run_command([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message.format(**paths) in errors[0]
+    # argparse prints its usage line before the error; a library refusal prints nothing else
+    usage = "--tol" in argv
+    assert captured.err.startswith("usage:" if usage else "error:")
+    assert len(captured.err.splitlines()) == (2 if usage else 1)
+
+
+def test_frame_refusal_names_the_metric_pair(tmp_path, capsys):
+    # lambda = 2e-308 is not above EPS_PD: compute_phi refuses the pair
+    # before build_tangent forms diag(lambda), a metric the user never gave
+    doc = catalog_algebra("su2").to_dict()
+    doc["metrics"]["g1"] = _diag_list(1e308, 1e308, 1e308)
+    path = _write(tmp_path, "su2_g1_1e308.json", doc)
+    assert run_command(["connection", path, "--metric", "lift"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: NonPositiveDefinite: metric pair (g1, g2): "
+        "lambda_min of g1^-1 g2 2.000e-308 not above 1.0e-12\n"
+    )
 
 
 def ref_non_finite(val, path):

@@ -165,7 +165,7 @@ def test_phi_fully_degenerate_non_diagonal(rng):
     npt.assert_array_equal(data.b1, again.b1)
     # first column is the normalized first input basis vector
     e0 = np.eye(4)[0]
-    npt.assert_allclose(data.b1[:, 0], e0 / g1.norm(e0), atol=1e-12)
+    npt.assert_allclose(data.b1[:, 0], e0 / np.sqrt(g1.inner(e0, e0)), atol=1e-12)
 
 
 def test_phi_partial_clusters(rng):
